@@ -238,12 +238,7 @@ core::ResidentPoolStats pool_stats_from_json(const JsonValue& v) {
 
 void accumulate_engine_stats(core::EngineStats& into,
                              const core::EngineStats& more) {
-  into.branched += more.branched;
-  into.generated += more.generated;
-  into.evaluated += more.evaluated;
-  into.pruned += more.pruned;
-  into.leaves += more.leaves;
-  into.ub_updates += more.ub_updates;
+  into.add_counters(more);
   into.bounding_seconds += more.bounding_seconds;
   if (more.wall_seconds > into.wall_seconds) {
     into.wall_seconds = more.wall_seconds;

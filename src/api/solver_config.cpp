@@ -98,6 +98,9 @@ const std::vector<std::string>& SolverConfig::cli_flags() {
 }
 
 SolverConfig SolverConfig::from_cli(const CliArgs& args) {
+  // Tools answer --help before building a config; a solve request (a
+  // serve "cli" payload, a worker dispatch) has no usage to print.
+  FSBB_CHECK_MSG(!args.help(), "--help is not a solve setting");
   SolverConfig c;
   c.backend = args.get_or("backend", c.backend);
   if (const auto v = args.get("bound")) c.bound = parse_bound(*v);

@@ -119,7 +119,8 @@ struct SolverConfig {
   static const std::vector<std::string>& cli_flags();
 
   /// Reads every recognized flag; untouched fields keep their defaults.
-  /// Throws CheckFailure on unparseable enum values.
+  /// Throws CheckFailure on unparseable enum values and on `--help`,
+  /// which a tool must answer before building a config.
   static SolverConfig from_cli(const CliArgs& args);
 
   /// Parses argv directly (extra_flags are accepted but ignored — for

@@ -29,7 +29,7 @@ CliArgs CliArgs::parse(int argc, const char* const* argv,
       name = name.substr(0, eq);
       FSBB_CHECK_MSG(contains(known_flags, name) || contains(bool_flags, name),
                      "unknown flag --" + name);
-    } else if (contains(bool_flags, name)) {
+    } else if (contains(bool_flags, name) || name == kHelp) {
       value = "1";
     } else {
       FSBB_CHECK_MSG(contains(known_flags, name), "unknown flag --" + name);

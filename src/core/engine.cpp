@@ -5,14 +5,13 @@
 #include "common/check.h"
 #include "common/timer.h"
 #include "core/audit.h"
+#include "core/branch_expand.h"
 #include "core/node_arena.h"
-#include "fsp/makespan.h"
-#include "fsp/neh.h"
 
 namespace fsbb::core {
 namespace {
 
-/// One parent's children inside the pending batch (sibling/resident mode).
+/// One parent's children inside the pending batch.
 struct GroupExtent {
   NodeArena::Handle parent;
   std::int32_t depth;       ///< parent depth
@@ -31,36 +30,24 @@ BBEngine::BBEngine(const fsp::Instance& inst, const fsp::LowerBoundData& data,
 }
 
 SolveResult BBEngine::solve() {
-  Time ub;
-  std::vector<JobId> seed_perm;
-  if (options_.initial_ub.has_value()) {
-    ub = *options_.initial_ub;
-  } else {
-    fsp::NehResult neh = fsp::neh(*inst_);
-    ub = neh.makespan;
-    seed_perm = std::move(neh.permutation);
-  }
+  SeedIncumbent seed = seed_incumbent(*inst_, options_.initial_ub);
 
   std::vector<Subproblem> initial;
   Subproblem root = Subproblem::root(inst_->jobs());
   evaluator_->evaluate({&root, 1});
   initial.push_back(std::move(root));
 
-  SolveResult result = run(std::move(initial), ub);
+  SolveResult result = run(std::move(initial), seed.ub);
   // The NEH schedule is the incumbent until something beats it.
-  if (!seed_perm.empty() && result.best_permutation.empty()) {
-    result.best_makespan = ub;
-    result.best_permutation = std::move(seed_perm);
+  if (!seed.perm.empty() && result.best_permutation.empty()) {
+    result.best_makespan = seed.ub;
+    result.best_permutation = std::move(seed.perm);
   }
   return result;
 }
 
 SolveResult BBEngine::solve_from(std::vector<Subproblem> initial,
                                  Time initial_ub) {
-  for (const Subproblem& sp : initial) {
-    FSBB_CHECK_MSG(sp.lb != Subproblem::kUnevaluated,
-                   "solve_from requires bounded nodes");
-  }
   return run(std::move(initial), initial_ub);
 }
 
@@ -85,26 +72,23 @@ SolveResult BBEngine::run(std::vector<Subproblem> initial, Time ub) {
     arena.set_audit(arena_audit.get());
   }
   auto pool = make_pool<NodeRef>(options_.strategy);
-  for (Subproblem& sp : initial) {
-    if (sp.lb < ub) {
-      pool->push(NodeRef{sp.lb, sp.depth, arena.adopt(sp)});
-    } else {
-      ++result.stats.pruned;
-    }
+  for (NodeRef& ref :
+       adopt_initial(arena, 0, initial, ub, result.stats.pruned)) {
+    pool->push(std::move(ref));
   }
 
-  // Resident mode drives offload iterations against an evaluator-owned
-  // device pool: node payloads stay resident, the engine moves tickets.
-  // The select/branch/insert logic below is byte-for-byte the sibling
-  // path's, so every EngineStats counter matches the host backends.
-  // Sibling mode bounds children in place (no Subproblem materialization);
-  // the fallback keeps the evaluator-facing flat batch of value nodes so
-  // callback bounds and the GPU staging path see exactly what they used to.
-  // DFS mode drives whole-subtree device launches through the SubtreeDfs
-  // seam: the engine pops a set of roots, the kernel explores them with
-  // fused select/branch/bound per lane, and work only resurfaces at
-  // subtree exhaustion or the expansion-quota recall. Takes precedence
-  // over the resident pool and the sibling seam.
+  // Three modes. Sibling mode branches children into the arena and bounds
+  // them in place through evaluate_siblings (whose default hands
+  // flat-batch evaluators one materialized batch per call). Resident mode
+  // runs the same select/branch/insert loop but drives offload iterations
+  // against an evaluator-owned device pool: node payloads stay resident,
+  // the engine moves tickets, and every EngineStats counter matches the
+  // host backends. DFS mode drives whole-subtree device launches through
+  // the SubtreeDfs seam: the engine pops a set of roots, the kernel
+  // explores them with fused select/branch/bound per lane, and work only
+  // resurfaces at subtree exhaustion or the expansion-quota recall. DFS
+  // takes precedence over the resident pool, which takes precedence over
+  // the sibling seam.
   SubtreeDfs* dfs = evaluator_->subtree_dfs();
   if (dfs != nullptr) {
     FSBB_CHECK_MSG(options_.strategy == SelectionStrategy::kDepthFirst,
@@ -116,8 +100,6 @@ SolveResult BBEngine::run(std::vector<Subproblem> initial, Time ub) {
   if (resident != nullptr && audit::enabled()) {
     ticket_audit = std::make_unique<audit::TicketAudit>("resident-pool");
   }
-  const bool sibling_mode =
-      resident != nullptr || evaluator_->supports_sibling_batches();
 
   // Ticket of each arena slot's resident payload (resident mode only).
   // Slots are reused after release, so entries are reset to kNullTicket.
@@ -140,8 +122,7 @@ SolveResult BBEngine::run(std::vector<Subproblem> initial, Time ub) {
     arena.release(h);
   };
 
-  std::vector<Subproblem> pending_mat;   // fallback: materialized children
-  std::vector<NodeRef> pending_refs;     // sibling: arena-backed children
+  std::vector<NodeRef> pending_refs;     // arena-backed children
   std::vector<NodeRef> dfs_refs;         // dfs: roots popped for a launch
   std::vector<DfsRoot> dfs_roots;
   std::vector<GroupExtent> extents;
@@ -149,7 +130,6 @@ SolveResult BBEngine::run(std::vector<Subproblem> initial, Time ub) {
   std::vector<ResidentGroup> rgroups;
   std::vector<Time> bounds;
   std::vector<std::uint32_t> child_tickets;
-  pending_mat.reserve(options_.batch_size + static_cast<std::size_t>(n));
   pending_refs.reserve(options_.batch_size + static_cast<std::size_t>(n));
 
   std::optional<StopReason> stop;
@@ -227,7 +207,6 @@ SolveResult BBEngine::run(std::vector<Subproblem> initial, Time ub) {
         result.best_makespan = ev.makespan;
         if (incumbent_audit != nullptr) incumbent_audit->observe(ev.makespan);
         result.best_permutation = std::move(ev.permutation);
-        ++result.stats.ub_updates;
         if (options_.control) {
           options_.control->emit_incumbent(
               ev.makespan, result.best_permutation,
@@ -236,11 +215,7 @@ SolveResult BBEngine::run(std::vector<Subproblem> initial, Time ub) {
               result.stats.pruned + ev.pruned);
         }
       }
-      result.stats.branched += launch.stats.branched;
-      result.stats.generated += launch.stats.generated;
-      result.stats.evaluated += launch.stats.evaluated;
-      result.stats.pruned += launch.stats.pruned;
-      result.stats.leaves += launch.stats.leaves;
+      result.stats.add_counters(launch.stats);
       // Consumed roots died inside the launch (their live descendants, if
       // any, came back through `surfaced`).
       FSBB_ASSERT(launch.roots_started <= dfs_refs.size());
@@ -268,11 +243,9 @@ SolveResult BBEngine::run(std::vector<Subproblem> initial, Time ub) {
     }
 
     // --- selection + elimination (lazy) + branching ------------------
-    pending_mat.clear();
     pending_refs.clear();
     extents.clear();
-    std::size_t pending_count = 0;
-    while (pending_count < options_.batch_size && !pool->empty()) {
+    while (pending_refs.size() < options_.batch_size && !pool->empty()) {
       const NodeRef node = pool->pop();
       if (node.lb >= result.best_makespan) {
         ++result.stats.pruned;  // UB improved since this node was inserted
@@ -284,12 +257,7 @@ SolveResult BBEngine::run(std::vector<Subproblem> initial, Time ub) {
       const auto d = static_cast<std::size_t>(node.depth);
       const int r = n - node.depth;
       if (r == 1) {
-        // The single child is complete and its permutation is the
-        // parent's (the one free job is already in place); its makespan
-        // is exact, no bounding needed.
-        ++result.stats.generated;
-        ++result.stats.leaves;
-        const Time ms = fsp::makespan(*inst_, perm);
+        const Time ms = expand_leaf(*inst_, perm, result.stats);
         if (ms < result.best_makespan) {
           result.best_makespan = ms;
           if (incumbent_audit != nullptr) incumbent_audit->observe(ms);
@@ -302,7 +270,7 @@ SolveResult BBEngine::run(std::vector<Subproblem> initial, Time ub) {
           }
         }
         release_node(node.slot);
-      } else if (sibling_mode) {
+      } else {
         const auto first = static_cast<std::uint32_t>(pending_refs.size());
         for (int i = 0; i < r; ++i) {
           ++result.stats.generated;
@@ -319,31 +287,19 @@ SolveResult BBEngine::run(std::vector<Subproblem> initial, Time ub) {
             resident ? ticket_ref(node.slot) : ResidentPool::kNullTicket;
         extents.push_back(GroupExtent{node.slot, node.depth, first,
                                       static_cast<std::uint32_t>(r), ticket});
-        pending_count += static_cast<std::size_t>(r);
-      } else {
-        for (int i = 0; i < r; ++i) {
-          ++result.stats.generated;
-          Subproblem child;
-          child.perm.resize(perm.size());
-          write_child_perm(perm, d, static_cast<std::size_t>(i), child.perm);
-          child.depth = node.depth + 1;
-          pending_mat.push_back(std::move(child));
-        }
-        arena.release(node.slot);
-        pending_count = pending_mat.size();
       }
       if (budget_exhausted()) break;
     }
-    if (pending_count == 0) continue;
+    if (pending_refs.empty()) continue;
 
     // --- bounding (possibly offloaded) --------------------------------
     {
       const WallTimer bound_timer;
+      bounds.resize(pending_refs.size());
       if (resident) {
         // One offload iteration: parents travel as tickets (plus refill
         // permutations for non-resident ones), children are derived and
         // bounded inside the pool, bounds and child tickets come back.
-        bounds.resize(pending_refs.size());
         child_tickets.assign(pending_refs.size(), ResidentPool::kNullTicket);
         rgroups.clear();
         rgroups.reserve(extents.size());
@@ -358,8 +314,7 @@ SolveResult BBEngine::run(std::vector<Subproblem> initial, Time ub) {
           rgroups.push_back(g);
         }
         resident->iterate(result.best_makespan, rgroups);
-      } else if (sibling_mode) {
-        bounds.resize(pending_refs.size());
+      } else {
         groups.clear();
         groups.reserve(extents.size());
         for (const GroupExtent& e : extents) {
@@ -370,44 +325,31 @@ SolveResult BBEngine::run(std::vector<Subproblem> initial, Time ub) {
               std::span<Time>(bounds).subspan(e.first, e.count)});
         }
         evaluator_->evaluate_siblings(groups);
-      } else {
-        evaluator_->evaluate(pending_mat);
       }
       result.stats.bounding_seconds += bound_timer.seconds();
-      result.stats.evaluated += pending_count;
+      result.stats.evaluated += pending_refs.size();
     }
 
     // --- elimination + insertion --------------------------------------
-    if (sibling_mode) {
-      for (std::size_t i = 0; i < pending_refs.size(); ++i) {
-        NodeRef child = pending_refs[i];
-        child.lb = bounds[i];
-        FSBB_ASSERT(child.lb != Subproblem::kUnevaluated);
-        if (resident) {
-          ticket_ref(child.slot) = child_tickets[i];
-          if (ticket_audit != nullptr &&
-              child_tickets[i] != ResidentPool::kNullTicket) {
-            ticket_audit->on_issue(child_tickets[i]);
-          }
-        }
-        if (child.lb < result.best_makespan) {
-          pool->push(std::move(child));
-        } else {
-          ++result.stats.pruned;
-          release_node(child.slot);
+    for (std::size_t i = 0; i < pending_refs.size(); ++i) {
+      NodeRef child = pending_refs[i];
+      child.lb = bounds[i];
+      FSBB_ASSERT(child.lb != Subproblem::kUnevaluated);
+      if (resident) {
+        ticket_ref(child.slot) = child_tickets[i];
+        if (ticket_audit != nullptr &&
+            child_tickets[i] != ResidentPool::kNullTicket) {
+          ticket_audit->on_issue(child_tickets[i]);
         }
       }
-      for (const GroupExtent& e : extents) release_node(e.parent);
-    } else {
-      for (Subproblem& child : pending_mat) {
-        FSBB_ASSERT(child.lb != Subproblem::kUnevaluated);
-        if (child.lb < result.best_makespan) {
-          pool->push(NodeRef{child.lb, child.depth, arena.adopt(child)});
-        } else {
-          ++result.stats.pruned;
-        }
+      if (child.lb < result.best_makespan) {
+        pool->push(std::move(child));
+      } else {
+        ++result.stats.pruned;
+        release_node(child.slot);
       }
     }
+    for (const GroupExtent& e : extents) release_node(e.parent);
 
     if (options_.control) {
       options_.control->maybe_emit_tick(result.best_makespan,

@@ -52,23 +52,6 @@ struct EngineOptions {
   SearchControl* control = nullptr;
 };
 
-/// Counters for every operator of the algorithm.
-struct EngineStats {
-  std::uint64_t branched = 0;    ///< nodes decomposed
-  std::uint64_t generated = 0;   ///< children produced by branching
-  std::uint64_t evaluated = 0;   ///< children through the bounding operator
-  std::uint64_t pruned = 0;      ///< eliminated (at return or at pop)
-  std::uint64_t leaves = 0;      ///< complete schedules reached
-  std::uint64_t ub_updates = 0;  ///< incumbent improvements
-  double wall_seconds = 0;       ///< total solve time
-  double bounding_seconds = 0;   ///< time inside BoundEvaluator::evaluate
-  Time initial_ub = 0;
-
-  double bounding_fraction() const {
-    return wall_seconds > 0 ? bounding_seconds / wall_seconds : 0.0;
-  }
-};
-
 /// Outcome of a solve.
 struct SolveResult {
   Time best_makespan = std::numeric_limits<Time>::max();

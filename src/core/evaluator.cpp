@@ -10,21 +10,24 @@
 namespace fsbb::core {
 
 void BoundEvaluator::evaluate_siblings(std::span<const SiblingBatch> groups) {
-  // Fallback: materialize every child exactly as Subproblem::child() would
-  // (prefix ++ free jobs, one swap) and route the flat batch through
-  // evaluate(), so evaluators unaware of sibling structure — callback
-  // bounds, the simulated GPU — behave byte-for-byte as before.
-  std::vector<JobId> parent_perm;
-  std::vector<Subproblem> children;
+  // Fallback for evaluators unaware of sibling structure (callback bounds,
+  // the repack GPU path): materialize every child exactly as
+  // Subproblem::child() would (prefix ++ free jobs, one swap) and bound
+  // the whole call as one flat batch.
+  std::size_t count = 0;
   for (const SiblingBatch& g : groups) {
     FSBB_CHECK(g.bounds.size() == g.next_jobs.size());
+    count += g.next_jobs.size();
+  }
+  std::vector<JobId> parent_perm;
+  std::vector<Subproblem> children;
+  children.reserve(count);
+  for (const SiblingBatch& g : groups) {
     // prefix ++ free jobs IS the parent's full permutation (see the
     // SiblingBatch contract), so child i follows the shared branch rule.
     parent_perm.assign(g.parent_prefix.begin(), g.parent_prefix.end());
     parent_perm.insert(parent_perm.end(), g.next_jobs.begin(),
                        g.next_jobs.end());
-    children.clear();
-    children.reserve(g.next_jobs.size());
     const auto depth = static_cast<std::int32_t>(g.parent_prefix.size());
     for (std::size_t i = 0; i < g.next_jobs.size(); ++i) {
       Subproblem child;
@@ -34,11 +37,23 @@ void BoundEvaluator::evaluate_siblings(std::span<const SiblingBatch> groups) {
       child.depth = depth + 1;
       children.push_back(std::move(child));
     }
-    evaluate(children);
-    for (std::size_t i = 0; i < children.size(); ++i) {
-      g.bounds[i] = children[i].lb;
-    }
   }
+  evaluate(children);
+  std::size_t next = 0;
+  for (const SiblingBatch& g : groups) {
+    for (Time& bound : g.bounds) bound = children[next++].lb;
+  }
+}
+
+std::vector<SiblingBatch> sibling_view(std::span<const ResidentGroup> groups) {
+  std::vector<SiblingBatch> view;
+  view.reserve(groups.size());
+  for (const ResidentGroup& g : groups) {
+    const auto depth = static_cast<std::size_t>(g.depth);
+    view.push_back(
+        SiblingBatch{g.perm.first(depth), g.perm.subspan(depth), g.bounds});
+  }
+  return view;
 }
 
 SerialCpuEvaluator::SerialCpuEvaluator(const fsp::Instance& inst,

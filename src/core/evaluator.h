@@ -12,6 +12,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "common/threadpool.h"
 #include "common/timer.h"
@@ -58,6 +59,11 @@ struct ResidentGroup {
   std::span<std::uint32_t> child_tickets;  ///< out: resident child payloads
                                            ///< (kNullTicket when not kept)
 };
+
+/// SiblingBatch views of resident groups, in order: the same parents and
+/// children, for bounding them outside the resident pool (a repack lane,
+/// the adaptive evaluator's host slice). Their children stay non-resident.
+std::vector<SiblingBatch> sibling_view(std::span<const ResidentGroup> groups);
 
 /// Evaluator-owned resident node store (Chakroun & Melab's device-resident
 /// per-SM pools). The engine drives offload iterations against it: node
@@ -108,22 +114,15 @@ struct DfsIncumbentEvent {
   std::uint64_t pruned = 0;
 };
 
-/// Per-launch operator counters (launch-local; the engine adds them to
-/// EngineStats). Semantics match the serial engine exactly: branched
-/// counts expanded nodes, generated their children, evaluated the bounded
-/// (incomplete) children, pruned both pop-time and insert-time
-/// eliminations, leaves the complete schedules reached.
-struct DfsLaunchStats {
-  std::uint64_t branched = 0;
-  std::uint64_t generated = 0;
-  std::uint64_t evaluated = 0;
-  std::uint64_t pruned = 0;
-  std::uint64_t leaves = 0;
-};
-
 /// Outcome of one SubtreeDfs launch.
 struct DfsLaunchResult {
-  DfsLaunchStats stats;
+  /// Launch-local operator counters, which the engine adds to its own.
+  /// Semantics match the serial engine exactly: branched counts expanded
+  /// nodes, generated their children, evaluated the bounded (incomplete)
+  /// children, pruned both pop-time and insert-time eliminations, leaves
+  /// the complete schedules reached, ub_updates the `incumbents` entries.
+  /// The clock fields stay zero.
+  EngineStats stats;
   std::vector<DfsIncumbentEvent> incumbents;  ///< in discovery order
   /// Live nodes surfaced by the expansion-quota interrupt, in the exact
   /// order a serial depth-first engine would pop them next (deepest
@@ -169,16 +168,19 @@ class BoundEvaluator {
   /// Fills sp.lb for every node in the batch.
   virtual void evaluate(std::span<Subproblem> batch) = 0;
 
-  /// True when evaluate_siblings exploits the shared parent state; the
-  /// engine then groups children by parent instead of materializing one
-  /// flat Subproblem batch.
+  /// True when evaluate_siblings exploits the shared parent state instead
+  /// of falling back to one flat batch. Descriptive only: the engine
+  /// bounds through evaluate_siblings either way.
   virtual bool supports_sibling_batches() const { return false; }
 
-  /// Bounds every group's children given their common parent. The default
-  /// materializes the children and routes them through evaluate(), so
-  /// callback/GPU evaluators work unchanged; the CPU evaluators override
-  /// it with the O(m)-incremental Lb1BoundContext path. Bounds are
-  /// bit-identical between the two paths — a tested invariant.
+  /// Bounds every group's children given their common parent — the
+  /// engine's one bounding call outside the resident and DFS seams. The
+  /// default materializes every group's children, in group order, and
+  /// bounds them with a single evaluate() call, so callback bounds and the
+  /// repack GPU path see one flat batch per engine batch. The CPU
+  /// evaluators override it with the O(m)-incremental Lb1BoundContext
+  /// path. Bounds are bit-identical between the two paths — a tested
+  /// invariant.
   virtual void evaluate_siblings(std::span<const SiblingBatch> groups);
 
   /// Non-null when this evaluator keeps node payloads resident in its own

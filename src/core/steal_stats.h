@@ -1,13 +1,45 @@
-// Work-stealing policy enums and counters — the lightweight slice of
-// core/work_steal.h that results (SolveResult, SolveReport) and options
-// (MtOptions, SolverConfig) need without pulling in the deque machinery.
+// Work-stealing policy enums and the engines' counters — the lightweight
+// slice of core/work_steal.h and core/engine.h that results (SolveResult,
+// SolveReport, DfsLaunchResult) and options (MtOptions, SolverConfig) need
+// without pulling in the deque machinery or the engine.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "fsp/instance.h"
+
 namespace fsbb::core {
+
+/// Counters for every operator of the algorithm.
+struct EngineStats {
+  std::uint64_t branched = 0;    ///< nodes decomposed
+  std::uint64_t generated = 0;   ///< children produced by branching
+  std::uint64_t evaluated = 0;   ///< children through the bounding operator
+  std::uint64_t pruned = 0;      ///< eliminated (at return or at pop)
+  std::uint64_t leaves = 0;      ///< complete schedules reached
+  std::uint64_t ub_updates = 0;  ///< incumbent improvements
+  double wall_seconds = 0;       ///< total solve time
+  double bounding_seconds = 0;   ///< time inside BoundEvaluator::evaluate
+  fsp::Time initial_ub = 0;
+
+  double bounding_fraction() const {
+    return wall_seconds > 0 ? bounding_seconds / wall_seconds : 0.0;
+  }
+
+  /// Adds the six operator counters of `more`. The clock fields and
+  /// initial_ub stay untouched: every caller has its own rule for them
+  /// (sequential slices add, concurrent shards take the max).
+  void add_counters(const EngineStats& more) {
+    branched += more.branched;
+    generated += more.generated;
+    evaluated += more.evaluated;
+    pruned += more.pruned;
+    leaves += more.leaves;
+    ub_updates += more.ub_updates;
+  }
+};
 
 /// Which victim a starving worker probes first.
 enum class VictimOrder {

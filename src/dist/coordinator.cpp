@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <csignal>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -68,7 +69,8 @@ void Coordinator::log(const std::string& message) const {
 void Coordinator::spawn(std::size_t index) {
   Slot& slot = slots_[index];
   slot.proc = Subprocess::spawn(options_.worker_command);
-  slot.reader = LineReader();
+  slot.reader =
+      serve::BoundedLineReader(std::numeric_limits<std::size_t>::max());
   slot.alive = true;
   slot.eof = false;
   slot.busy = false;
@@ -333,9 +335,9 @@ void Coordinator::pump_events() {
     for (;;) {
       const ssize_t n = ::read(fds[f].fd, buf, sizeof(buf));
       if (n > 0) {
-        for (std::string& line :
+        for (const serve::BoundedLineReader::Line& line :
              slot.reader.feed(buf, static_cast<std::size_t>(n))) {
-          handle_event(index, line);
+          handle_event(index, line.text);
         }
         continue;
       }
@@ -356,9 +358,9 @@ void Coordinator::pump_events() {
       char buf[4096];
       ssize_t n;
       while (fd >= 0 && (n = ::read(fd, buf, sizeof(buf))) > 0) {
-        for (std::string& line :
+        for (const serve::BoundedLineReader::Line& line :
              slots_[i].reader.feed(buf, static_cast<std::size_t>(n))) {
-          handle_event(i, line);
+          handle_event(i, line.text);
         }
       }
       if (slots_[i].alive) handle_death(i);

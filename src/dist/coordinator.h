@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -39,8 +40,8 @@
 #include "api/solver_config.h"
 #include "dist/incumbent_bus.h"
 #include "dist/process.h"
-#include "dist/transport.h"
 #include "fsp/instance.h"
+#include "serve/line_io.h"
 
 namespace fsbb::dist {
 
@@ -90,7 +91,8 @@ class Coordinator {
  private:
   struct Slot {
     Subprocess proc;
-    LineReader reader;
+    /// Uncapped: checkpoint lines carry whole serialized pools.
+    serve::BoundedLineReader reader{std::numeric_limits<std::size_t>::max()};
     bool alive = false;
     bool eof = false;
     bool busy = false;

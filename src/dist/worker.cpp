@@ -21,8 +21,8 @@
 #include "common/mutex.h"
 #include "core/pool_io.h"
 #include "core/search_control.h"
-#include "dist/transport.h"
 #include "fsp/lb_data.h"
+#include "serve/line_io.h"
 
 namespace fsbb::dist {
 namespace {
@@ -140,7 +140,7 @@ int Worker::run() {
   out_.line("{\"event\":\"ready\"}");
   std::string line;
   while (std::getline(in_, line)) {
-    if (!normalize_transport_line(line)) continue;
+    if (!serve::normalize_transport_line(line)) continue;
     JsonValue request;
     try {
       request = JsonValue::parse(line);
@@ -351,12 +351,7 @@ void Worker::solve_loop(std::shared_ptr<Dispatch> d) {
       nodes.clear();
 
       // Sequential slices: counters and both clocks simply add up.
-      total.branched += result.stats.branched;
-      total.generated += result.stats.generated;
-      total.evaluated += result.stats.evaluated;
-      total.pruned += result.stats.pruned;
-      total.leaves += result.stats.leaves;
-      total.ub_updates += result.stats.ub_updates;
+      total.add_counters(result.stats);
       total.wall_seconds += result.stats.wall_seconds;
       total.bounding_seconds += result.stats.bounding_seconds;
 

@@ -154,12 +154,6 @@ void AdaptiveEvaluator::iterate(fsp::Time ub,
   std::size_t children = 0;
   for (const core::ResidentGroup& g : groups) children += g.bounds.size();
 
-  const auto to_sibling = [](core::ResidentGroup& g) {
-    const auto depth = static_cast<std::size_t>(g.depth);
-    return core::SiblingBatch{g.perm.first(depth), g.perm.subspan(depth),
-                              g.bounds};
-  };
-
   if (children >= threshold_) {
     // Concurrent heterogeneous split: the device takes the leading
     // groups, the host sibling-seam workers a trailing slice of about
@@ -175,11 +169,8 @@ void AdaptiveEvaluator::iterate(fsp::Time ub,
       host_children += groups[--split].bounds.size();
     }
     const auto device_part = groups.first(split);
-    const auto host_part = groups.subspan(split);
-
-    std::vector<core::SiblingBatch> host;
-    host.reserve(host_part.size());
-    for (core::ResidentGroup& g : host_part) host.push_back(to_sibling(g));
+    const std::vector<core::SiblingBatch> host =
+        core::sibling_view(groups.subspan(split));
 
     if (!device_part.empty()) {
       std::thread device_thread(
@@ -196,10 +187,7 @@ void AdaptiveEvaluator::iterate(fsp::Time ub,
     // Below break-even: bound on host threads through the sibling seam.
     // Children stay non-resident and re-join the device pool as refills
     // if a later iteration pops them.
-    std::vector<core::SiblingBatch> host;
-    host.reserve(groups.size());
-    for (core::ResidentGroup& g : groups) host.push_back(to_sibling(g));
-    cpu_.evaluate_siblings(host);
+    cpu_.evaluate_siblings(core::sibling_view(groups));
     ++cpu_batches_;
   }
   ++ledger_.batches;

@@ -138,7 +138,7 @@ void DeviceDfsPool::run_subtrees(fsp::Time ub,
   // plain host captures model the device-shared incumbent/quota words and
   // replicate the serial exploration order across the whole grid.
   fsp::Time best = ub;
-  core::DfsLaunchStats st;
+  core::EngineStats st;
   std::vector<core::DfsIncumbentEvent> events;
   std::vector<core::Subproblem> surfaced;
   std::size_t started = 0;
@@ -277,6 +277,7 @@ void DeviceDfsPool::run_subtrees(fsp::Time ub,
     // replays emit_incumbent with exact running totals.
     auto record_event = [&](fsp::Time ms) {
       best = ms;
+      ++st.ub_updates;
       core::DfsIncumbentEvent ev;
       ev.makespan = ms;
       ev.permutation.assign(perm.begin(), perm.end());

@@ -16,9 +16,10 @@
 //     through the core::SubtreeDfs seam (requires --strategy depth-first).
 //     A/B'd against resident in BENCH_core.json gpu.dfs.threaddfs.
 //
-// evaluate(batch) always takes the repack path (it is the flat-batch
-// fallback used for root bounding and by harnesses that bound ad-hoc node
-// lists); the resident machinery engages through resident_pool(), the DFS
+// evaluate(batch) always takes the repack path: the root bound, every
+// repack-mode engine batch (one flat batch through the default
+// evaluate_siblings) and harnesses that bound ad-hoc node lists use it.
+// The resident machinery engages through resident_pool(), the DFS
 // machinery through subtree_dfs().
 #pragma once
 

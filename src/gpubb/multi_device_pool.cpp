@@ -309,28 +309,14 @@ void MultiDevicePool::iterate(fsp::Time ub,
         }
       }
     } else {
-      // Repack lane: bound the routed groups through the flat kernel.
-      // Bounds are bit-identical to the resident path (tested invariant);
-      // the children come back non-resident.
-      std::vector<core::Subproblem> children;
+      // Repack lane: the routed groups go through the sibling seam, whose
+      // default bounds them as one flat kernel batch. Bounds are
+      // bit-identical to the resident path (tested invariant); the
+      // children come back non-resident.
+      lanes_[d]->evaluate_siblings(core::sibling_view(lane_groups_[d]));
       for (const core::ResidentGroup& local : lane_groups_[d]) {
-        for (std::size_t i = 0; i < local.bounds.size(); ++i) {
-          core::Subproblem child;
-          child.perm.resize(local.perm.size());
-          core::write_child_perm(local.perm,
-                                 static_cast<std::size_t>(local.depth), i,
-                                 child.perm);
-          child.depth = local.depth + 1;
-          children.push_back(std::move(child));
-        }
-      }
-      lanes_[d]->evaluate(children);
-      std::size_t next = 0;
-      for (core::ResidentGroup& local : lane_groups_[d]) {
-        for (std::size_t i = 0; i < local.bounds.size(); ++i) {
-          local.bounds[i] = children[next++].lb;
-          local.child_tickets[i] = kNullTicket;
-        }
+        std::fill(local.child_tickets.begin(), local.child_tickets.end(),
+                  kNullTicket);
       }
     }
   }
@@ -407,11 +393,7 @@ core::DfsLaunchResult MultiDevicePool::run_subtrees(
       running_ub = std::min(running_ub, event.makespan);
       total.incumbents.push_back(std::move(event));
     }
-    total.stats.branched += part.stats.branched;
-    total.stats.generated += part.stats.generated;
-    total.stats.evaluated += part.stats.evaluated;
-    total.stats.pruned += part.stats.pruned;
-    total.stats.leaves += part.stats.leaves;
+    total.stats.add_counters(part.stats);
     for (core::Subproblem& sp : part.surfaced) {
       total.surfaced.push_back(std::move(sp));
     }

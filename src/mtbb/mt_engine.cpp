@@ -1,23 +1,19 @@
 #include "mtbb/mt_engine.h"
 
 #include <limits>
-#include <thread>
 
 #include "common/check.h"
 #include "common/mutex.h"
 #include "common/timer.h"
-#include "core/audit.h"
+#include "core/branch_expand.h"
 #include "core/node_arena.h"
 #include "core/pool.h"
-#include "fsp/lb1.h"
-#include "fsp/lb2.h"
-#include "mtbb/branch_expand.h"
+#include "mtbb/solve_scaffold.h"
 
 namespace fsbb::mtbb {
 namespace {
 
 using core::NodeRef;
-using core::Subproblem;
 
 /// Everything the workers share.
 struct Shared {
@@ -51,7 +47,7 @@ void request_stop(Shared& sh, core::StopReason reason) {
   sh.cv.notify_all();
 }
 
-/// BoundContext is fsp::Lb1BoundContext or detail::Lb2BoundContext — the
+/// BoundContext is fsp::Lb1BoundContext or fsp::Lb2BoundContext — the
 /// search loop is byte-for-byte the same either way; only bound_child's
 /// arithmetic differs.
 template <typename BoundContext>
@@ -108,7 +104,7 @@ void worker(const fsp::Instance& inst, Shared& sh, std::size_t lane,
       const LockGuard lock(sh.mu);
       return sh.ub;
     }();
-    detail::BestLeaf best_leaf = detail::expand_node(
+    core::BestLeaf best_leaf = core::expand_node(
         inst, *sh.arena, lane, node, ub_snapshot, ctx, local, survivors);
     sh.arena->release(node.slot, lane);
 
@@ -152,84 +148,44 @@ void worker(const fsp::Instance& inst, Shared& sh, std::size_t lane,
   }
 
   const LockGuard lock(sh.mu);
-  sh.stats.branched += local.branched;
-  sh.stats.generated += local.generated;
-  sh.stats.evaluated += local.evaluated;
-  sh.stats.pruned += local.pruned;
-  sh.stats.leaves += local.leaves;
-  sh.stats.ub_updates += local.ub_updates;
+  sh.stats.add_counters(local);
 }
 
 core::SolveResult run(const fsp::Instance& inst,
                       const fsp::LowerBoundData& data,
-                      std::vector<Subproblem> initial, fsp::Time initial_ub,
-                      const MtOptions& options,
-                      std::vector<fsp::JobId> seed_perm) {
+                      const MtOptions& options, detail::SolveStart start) {
   FSBB_CHECK_MSG(options.threads >= 1, "need at least one worker");
   const WallTimer timer;
-
-  // LB2 tables, shared read-only by every worker (each worker's context
-  // keeps its own two-smallest state; the tables themselves are immutable).
-  std::unique_ptr<fsp::Lb2Data> lb2;
-  if (options.bound == MtBound::kLb2) {
-    lb2 = std::make_unique<fsp::Lb2Data>(fsp::Lb2Data::build(inst));
-  }
 
   // One allocation lane per worker plus one for this (the coordinating)
   // thread, which adopts the initial nodes.
   core::NodeArena arena(inst.jobs(), options.threads + 1);
   const std::size_t main_lane = options.threads;
-
-  // Auditors (core/audit.h): snapshot the mode once per solve.
-  std::unique_ptr<core::audit::ArenaAudit> arena_audit;
-  std::unique_ptr<core::audit::IncumbentAudit> incumbent_audit;
-  if (core::audit::enabled()) {
-    arena_audit = std::make_unique<core::audit::ArenaAudit>("multicore");
-    incumbent_audit =
-        std::make_unique<core::audit::IncumbentAudit>("multicore");
-    arena.set_audit(arena_audit.get());
-  }
+  const detail::SolveAudit audit("multicore", arena);
 
   Shared sh;
   sh.arena = &arena;
   sh.node_budget = options.node_budget;
   sh.control = options.control;
-  sh.incumbent_audit = incumbent_audit.get();
+  sh.incumbent_audit = audit.incumbent();
   {
     // Workers have not started; the lock is uncontended and keeps every
     // access to the guarded fields inside a critical section.
     const LockGuard lock(sh.mu);
     sh.pool = core::make_pool<NodeRef>(core::SelectionStrategy::kBestFirst);
-    sh.ub = initial_ub;
-    sh.best_perm = std::move(seed_perm);
-    sh.stats.initial_ub = initial_ub;
-    for (Subproblem& sp : initial) {
-      FSBB_CHECK_MSG(sp.lb != Subproblem::kUnevaluated,
-                     "mt engine requires bounded initial nodes");
-      if (sp.lb < sh.ub) {
-        sh.pool->push(NodeRef{sp.lb, sp.depth, arena.adopt(sp, main_lane)});
-      } else {
-        ++sh.stats.pruned;
-      }
+    sh.ub = start.ub;
+    sh.best_perm = std::move(start.seed_perm);
+    sh.stats.initial_ub = start.ub;
+    for (NodeRef& ref : core::adopt_initial(arena, main_lane, start.initial,
+                                            start.ub, sh.stats.pruned)) {
+      sh.pool->push(std::move(ref));
     }
   }
 
-  {
-    std::vector<std::thread> workers;
-    workers.reserve(options.threads);
-    for (std::size_t i = 0; i < options.threads; ++i) {
-      if (lb2 != nullptr) {
-        workers.emplace_back([&inst, &data, &sh, i, lb2 = lb2.get()] {
-          worker(inst, sh, i, detail::Lb2BoundContext(inst, data, *lb2));
-        });
-      } else {
-        workers.emplace_back([&inst, &data, &sh, i] {
-          worker(inst, sh, i, fsp::Lb1BoundContext(inst, data));
-        });
-      }
-    }
-    for (auto& w : workers) w.join();
-  }
+  detail::run_gang(inst, data, start.lb2.get(), options.threads,
+                   [&inst, &sh](std::size_t i, auto ctx) {
+                     worker(inst, sh, i, std::move(ctx));
+                   });
 
   core::SolveResult result;
   {
@@ -239,15 +195,11 @@ core::SolveResult run(const fsp::Instance& inst,
     result.proven_optimal = !sh.stop;  // stopped only when pool drained
     result.stop_reason = sh.stop_reason;
     result.stats = sh.stats;
-    if (arena_audit != nullptr) {
-      // Early stops leave unexplored nodes in the pool; release them so
-      // the drain check distinguishes "still pooled" from "leaked".
-      while (!sh.pool->empty()) {
-        arena.release(sh.pool->pop().slot, main_lane);
-      }
-    }
   }
-  if (arena_audit != nullptr) arena_audit->check_drained();
+  audit.check_drained(arena, main_lane, [&sh] {
+    const LockGuard lock(sh.mu);
+    return sh.pool->drain();
+  });
   result.stats.wall_seconds = timer.seconds();
   // Bounding dominates worker time; report it as such for the profile bench.
   result.stats.bounding_seconds = result.stats.wall_seconds;
@@ -259,16 +211,7 @@ core::SolveResult run(const fsp::Instance& inst,
 core::SolveResult mt_solve(const fsp::Instance& inst,
                            const fsp::LowerBoundData& data,
                            const MtOptions& options) {
-  std::unique_ptr<fsp::Lb2Data> lb2;
-  if (options.bound == MtBound::kLb2) {
-    lb2 = std::make_unique<fsp::Lb2Data>(fsp::Lb2Data::build(inst));
-  }
-  detail::RootStart start =
-      detail::make_root_start(inst, data, options.initial_ub, lb2.get());
-  std::vector<Subproblem> initial;
-  initial.push_back(std::move(start.root));
-  return run(inst, data, std::move(initial), start.ub, options,
-             std::move(start.seed_perm));
+  return run(inst, data, options, detail::root_start(inst, data, options));
 }
 
 core::SolveResult mt_solve_from(const fsp::Instance& inst,
@@ -276,7 +219,9 @@ core::SolveResult mt_solve_from(const fsp::Instance& inst,
                                 std::vector<core::Subproblem> initial,
                                 fsp::Time initial_ub,
                                 const MtOptions& options) {
-  return run(inst, data, std::move(initial), initial_ub, options, {});
+  return run(inst, data, options,
+             detail::frozen_start(inst, options, std::move(initial),
+                                  initial_ub));
 }
 
 }  // namespace fsbb::mtbb

@@ -11,18 +11,16 @@
 #include "common/mutex.h"
 #include "common/rng.h"
 #include "common/timer.h"
-#include "core/audit.h"
+#include "core/branch_expand.h"
 #include "core/node_arena.h"
 #include "core/work_steal.h"
-#include "fsp/lb1.h"
-#include "mtbb/branch_expand.h"
+#include "mtbb/solve_scaffold.h"
 
 namespace fsbb::mtbb {
 namespace {
 
 using core::NodeRef;
 using core::StealStats;
-using core::Subproblem;
 
 /// Failed steal rounds before a starving worker naps instead of spinning.
 constexpr int kSpinRoundsBeforeNap = 16;
@@ -54,8 +52,6 @@ struct Shared {
   core::SearchControl* control = nullptr;  // may be null
   core::VictimOrder victim_order = core::VictimOrder::kRoundRobin;
   std::size_t steal_batch = 1;
-  /// LB2 tables, shared read-only by every worker (kLb2 runs only).
-  const fsp::Lb2Data* lb2 = nullptr;
 
   Mutex best_mu;
   fsp::Time best_perm_makespan FSBB_GUARDED_BY(best_mu) =
@@ -129,12 +125,12 @@ std::optional<NodeRef> try_steal(Shared<PoolT>& sh, std::size_t id,
   return std::nullopt;
 }
 
-/// BoundContext is fsp::Lb1BoundContext or detail::Lb2BoundContext — the
+/// BoundContext is fsp::Lb1BoundContext or fsp::Lb2BoundContext — the
 /// search loop is byte-for-byte the same either way; only bound_child's
 /// arithmetic differs.
 template <typename PoolT, typename BoundContext>
-void worker(const fsp::Instance& inst, const fsp::LowerBoundData& /*data*/,
-            Shared<PoolT>& sh, std::size_t id, BoundContext ctx) {
+void worker(const fsp::Instance& inst, Shared<PoolT>& sh, std::size_t id,
+            BoundContext ctx) {
   core::EngineStats local;
   StealStats local_steals;
   std::vector<NodeRef> survivors;
@@ -198,7 +194,7 @@ void worker(const fsp::Instance& inst, const fsp::LowerBoundData& /*data*/,
     }
     ++local.branched;
 
-    detail::BestLeaf best_leaf = detail::expand_node(
+    core::BestLeaf best_leaf = core::expand_node(
         inst, sh.arena, id, *node, ub_snapshot, ctx, local, survivors);
     sh.arena.release(node->slot, id);
 
@@ -254,12 +250,7 @@ void worker(const fsp::Instance& inst, const fsp::LowerBoundData& /*data*/,
   }
 
   const LockGuard lock(sh.stats_mu);
-  sh.stats.branched += local.branched;
-  sh.stats.generated += local.generated;
-  sh.stats.evaluated += local.evaluated;
-  sh.stats.pruned += local.pruned;
-  sh.stats.leaves += local.leaves;
-  sh.stats.ub_updates += local.ub_updates;
+  sh.stats.add_counters(local);
   sh.steal_stats.steal_attempts += local_steals.steal_attempts;
   sh.steal_stats.steal_successes += local_steals.steal_successes;
   sh.steal_stats.nodes_stolen += local_steals.nodes_stolen;
@@ -268,31 +259,17 @@ void worker(const fsp::Instance& inst, const fsp::LowerBoundData& /*data*/,
 template <typename PoolT>
 core::SolveResult run_impl(const fsp::Instance& inst,
                            const fsp::LowerBoundData& data,
-                           std::vector<Subproblem> initial,
-                           fsp::Time initial_ub, const MtOptions& options,
-                           std::vector<fsp::JobId> seed_perm,
-                           const fsp::Lb2Data* lb2) {
+                           const MtOptions& options,
+                           detail::SolveStart start) {
   FSBB_CHECK_MSG(options.threads >= 1, "need at least one worker");
   FSBB_CHECK_MSG(options.steal_batch >= 1, "steal batch must be >= 1");
-  FSBB_CHECK_MSG(options.bound != MtBound::kLb2 || lb2 != nullptr,
-                 "lb2 runs need the Lb2Data tables");
   const WallTimer timer;
 
-  // Auditors (core/audit.h): snapshot the mode once per solve.
-  std::unique_ptr<core::audit::ArenaAudit> arena_audit;
-  std::unique_ptr<core::audit::IncumbentAudit> incumbent_audit;
-  if (core::audit::enabled()) {
-    arena_audit = std::make_unique<core::audit::ArenaAudit>("cpu-steal");
-    incumbent_audit =
-        std::make_unique<core::audit::IncumbentAudit>("cpu-steal");
-  }
-
   Shared<PoolT> sh(options.threads, inst.jobs());
-  if (arena_audit != nullptr) sh.arena.set_audit(arena_audit.get());
-  sh.incumbent_audit = incumbent_audit.get();
-  sh.lb2 = lb2;
+  const detail::SolveAudit audit("cpu-steal", sh.arena);
+  sh.incumbent_audit = audit.incumbent();
   const std::size_t main_lane = options.threads;
-  sh.ub.store(initial_ub, std::memory_order_relaxed);
+  sh.ub.store(start.ub, std::memory_order_relaxed);
   sh.node_budget = options.node_budget;
   sh.control = options.control;
   sh.victim_order = options.victim_order;
@@ -301,48 +278,25 @@ core::SolveResult run_impl(const fsp::Instance& inst,
     // Workers have not started; the locks are uncontended and keep every
     // guarded-field access inside a critical section.
     const LockGuard lock(sh.best_mu);
-    sh.best_perm_makespan = initial_ub;
-    sh.best_perm = std::move(seed_perm);
+    sh.best_perm_makespan = start.ub;
+    sh.best_perm = std::move(start.seed_perm);
   }
+  std::vector<NodeRef> live;
   {
     const LockGuard lock(sh.stats_mu);
-    sh.stats.initial_ub = initial_ub;
-  }
-
-  std::vector<NodeRef> live;
-  live.reserve(initial.size());
-  for (Subproblem& sp : initial) {
-    FSBB_CHECK_MSG(sp.lb != Subproblem::kUnevaluated,
-                   "steal engine requires bounded initial nodes");
-    if (sp.lb < initial_ub) {
-      live.push_back(NodeRef{sp.lb, sp.depth, sh.arena.adopt(sp, main_lane)});
-    } else {
-      const LockGuard lock(sh.stats_mu);
-      ++sh.stats.pruned;
-    }
+    sh.stats.initial_ub = start.ub;
+    live = core::adopt_initial(sh.arena, main_lane, start.initial, start.ub,
+                               sh.stats.pruned);
   }
   sh.in_flight.store(live.size(), std::memory_order_relaxed);
   sh.pool.distribute(std::move(live));
 
-  {
-    std::vector<std::thread> workers;
-    workers.reserve(options.threads);
-    for (std::size_t i = 0; i < options.threads; ++i) {
-      if (options.bound == MtBound::kLb2) {
-        // Per-worker two-smallest state lives inside the context: no
-        // allocation and no sharing on the hot path.
-        workers.emplace_back([&inst, &data, &sh, i, lb2 = sh.lb2] {
-          worker(inst, data, sh, i,
-                 detail::Lb2BoundContext(inst, data, *lb2));
-        });
-      } else {
-        workers.emplace_back([&inst, &data, &sh, i] {
-          worker(inst, data, sh, i, fsp::Lb1BoundContext(inst, data));
-        });
-      }
-    }
-    for (auto& w : workers) w.join();
-  }
+  // Per-worker two-smallest LB2 state lives inside the context: no
+  // allocation and no sharing on the hot path.
+  detail::run_gang(inst, data, start.lb2.get(), options.threads,
+                   [&inst, &sh](std::size_t i, auto ctx) {
+                     worker(inst, sh, i, std::move(ctx));
+                   });
 
   core::SolveResult result;
   {
@@ -359,14 +313,7 @@ core::SolveResult run_impl(const fsp::Instance& inst,
     result.stats = sh.stats;
     result.steal = sh.steal_stats;
   }
-  if (arena_audit != nullptr) {
-    // Early stops leave unexplored nodes in the shards; release them so
-    // the drain check distinguishes "still pooled" from "leaked".
-    for (NodeRef& ref : sh.pool.drain()) {
-      sh.arena.release(ref.slot, main_lane);
-    }
-    arena_audit->check_drained();
-  }
+  audit.check_drained(sh.arena, main_lane, [&sh] { return sh.pool.drain(); });
   result.stats.wall_seconds = timer.seconds();
   // Bounding dominates worker time; report it as such for the profile bench.
   result.stats.bounding_seconds = result.stats.wall_seconds;
@@ -377,19 +324,14 @@ core::SolveResult run_impl(const fsp::Instance& inst,
 /// branch is the same templated search.
 core::SolveResult run(const fsp::Instance& inst,
                       const fsp::LowerBoundData& data,
-                      std::vector<Subproblem> initial, fsp::Time initial_ub,
-                      const MtOptions& options,
-                      std::vector<fsp::JobId> seed_perm,
-                      const fsp::Lb2Data* lb2) {
+                      const MtOptions& options, detail::SolveStart start) {
   if (options.deque == core::DequeKind::kChaseLev) {
     return run_impl<
         core::ShardedPoolT<NodeRef, core::ChaseLevStorage<NodeRef>>>(
-        inst, data, std::move(initial), initial_ub, options,
-        std::move(seed_perm), lb2);
+        inst, data, options, std::move(start));
   }
-  return run_impl<core::ShardedPoolT<NodeRef>>(inst, data, std::move(initial),
-                                               initial_ub, options,
-                                               std::move(seed_perm), lb2);
+  return run_impl<core::ShardedPoolT<NodeRef>>(inst, data, options,
+                                               std::move(start));
 }
 
 }  // namespace
@@ -397,16 +339,7 @@ core::SolveResult run(const fsp::Instance& inst,
 core::SolveResult steal_solve(const fsp::Instance& inst,
                               const fsp::LowerBoundData& data,
                               const MtOptions& options) {
-  std::unique_ptr<fsp::Lb2Data> lb2;
-  if (options.bound == MtBound::kLb2) {
-    lb2 = std::make_unique<fsp::Lb2Data>(fsp::Lb2Data::build(inst));
-  }
-  detail::RootStart start =
-      detail::make_root_start(inst, data, options.initial_ub, lb2.get());
-  std::vector<Subproblem> initial;
-  initial.push_back(std::move(start.root));
-  return run(inst, data, std::move(initial), start.ub, options,
-             std::move(start.seed_perm), lb2.get());
+  return run(inst, data, options, detail::root_start(inst, data, options));
 }
 
 core::SolveResult steal_solve_from(const fsp::Instance& inst,
@@ -414,12 +347,9 @@ core::SolveResult steal_solve_from(const fsp::Instance& inst,
                                    std::vector<core::Subproblem> initial,
                                    fsp::Time initial_ub,
                                    const MtOptions& options) {
-  std::unique_ptr<fsp::Lb2Data> lb2;
-  if (options.bound == MtBound::kLb2) {
-    lb2 = std::make_unique<fsp::Lb2Data>(fsp::Lb2Data::build(inst));
-  }
-  return run(inst, data, std::move(initial), initial_ub, options, {},
-             lb2.get());
+  return run(inst, data, options,
+             detail::frozen_start(inst, options, std::move(initial),
+                                  initial_ub));
 }
 
 }  // namespace fsbb::mtbb

@@ -1,14 +1,22 @@
-// Bounded line reading for the serving front ends.
+// NDJSON line reading for every process-level front end: fsbb_serve's
+// stdio loop and socket sessions, the distributed worker, and the
+// coordinator's per-worker stream readers all speak "one JSON object per
+// line".
 //
-// The NDJSON protocol is line-oriented, and "one request per line" is an
-// invitation for a malformed (or malicious) client to stream gigabytes
-// without ever sending '\n' — an unbounded std::getline happily grows a
-// string until the daemon OOMs. Both transports therefore read through a
-// cap: a line longer than max_line_bytes is *discarded* (the rest of it is
-// skipped up to the next '\n') and surfaced to the caller as an oversized
-// marker, so the front end can answer with a structured error instead of
-// dying. The connection stays usable — the next well-behaved line parses
-// normally.
+// Two realities of line-oriented pipes are handled here so each end
+// handles them identically: CRLF clients (Windows netcat, telnet,
+// printf "...\r\n") leave a trailing '\r' on every line, and interactive
+// clients send blank keep-alive lines — both must be invisible to the
+// JSON parser instead of surfacing as "invalid JSON at byte N" errors.
+//
+// "One request per line" is also an invitation for a malformed (or
+// malicious) client to stream gigabytes without ever sending '\n' — an
+// unbounded std::getline happily grows a string until the daemon OOMs.
+// The serving transports therefore read through a cap: a line longer than
+// max_line_bytes is *discarded* (the rest of it is skipped up to the next
+// '\n') and surfaced to the caller as an oversized marker, so the front
+// end can answer with a structured error instead of dying. The connection
+// stays usable — the next well-behaved line parses normally.
 #pragma once
 
 #include <cstddef>
@@ -18,11 +26,19 @@
 
 namespace fsbb::serve {
 
-/// Incremental bounded splitter for a byte stream (the socket sessions).
-/// Like dist::LineReader, but a line whose length exceeds the cap is
-/// dropped and reported instead of buffered without limit: the reader
-/// holds at most max_line_bytes + one read chunk in memory, whatever the
-/// peer sends.
+/// Normalizes one just-read transport line in place: strips one trailing
+/// '\r' (CRLF framing). Returns false when the remaining line is empty or
+/// whitespace-only — the caller must silently skip it, not parse it.
+bool normalize_transport_line(std::string& line);
+
+/// Incremental splitter for a nonblocking byte stream: feed read() chunks
+/// in, take completed lines out (normalized, blank lines dropped), so a
+/// wakeup that delivers half a line just buffers until the '\n' arrives.
+/// A line whose length exceeds the cap is dropped and reported instead of
+/// buffered: the reader holds at most max_line_bytes + one read chunk in
+/// memory, whatever the peer sends. The coordinator passes
+/// std::numeric_limits<std::size_t>::max() — worker checkpoint lines carry
+/// whole serialized pools.
 class BoundedLineReader {
  public:
   struct Line {
@@ -40,7 +56,7 @@ class BoundedLineReader {
   std::size_t pending() const { return buffer_.size(); }
 
  private:
-  const std::size_t max_;
+  std::size_t max_;
   std::string buffer_;
   /// True while skipping the remainder of an oversized line.
   bool discarding_ = false;

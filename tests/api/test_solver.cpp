@@ -83,6 +83,12 @@ TEST(SolverConfig, RejectsBadEnumsAndDevices) {
                CheckFailure);
 }
 
+TEST(SolverConfig, HelpIsNotASolveSetting) {
+  // Tools print their usage for --help; a solve request carrying it (a
+  // serve "cli" payload) is an error, not a default solve.
+  EXPECT_THROW(SolverConfig::from_cli(parse_tokens({"--help"})), CheckFailure);
+}
+
 TEST(SolverConfig, MakeInstancesHonorsCountAndSeeds) {
   InstanceSpec spec;
   spec.jobs = 6;

@@ -60,6 +60,19 @@ TEST(Cli, BooleanSwitchesNeedNoValue) {
   EXPECT_THROW(parse({"prog", "--verbose"}, {"pool"}, {"json"}), CheckFailure);
 }
 
+TEST(Cli, HelpIsAcceptedByEveryParser) {
+  // No parser declares --help, yet none rejects it: every tool answers it
+  // with its usage text instead of "unknown flag --help".
+  EXPECT_TRUE(parse({"prog", "--help"}, {}).help());
+  const auto args =
+      parse({"prog", "--pool", "8", "--help"}, {"pool"}, {"json"});
+  EXPECT_TRUE(args.help());
+  EXPECT_EQ(args.get_int_or("pool", 0), 8);
+  EXPECT_FALSE(parse({"prog", "--pool", "8"}, {"pool"}).help());
+  // Other undeclared flags still throw.
+  EXPECT_THROW(parse({"prog", "--help", "--nope"}, {}), CheckFailure);
+}
+
 TEST(Cli, DoubleParsing) {
   const auto args = parse({"prog", "--ratio", "2.75"}, {"ratio"});
   EXPECT_DOUBLE_EQ(args.get_double_or("ratio", 0), 2.75);

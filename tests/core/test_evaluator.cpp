@@ -165,6 +165,35 @@ TEST(SiblingSeam, DefaultFallbackMatchesPerChildCallback) {
   }
 }
 
+TEST(SiblingSeam, DefaultFallbackBoundsOneFlatBatchPerCall) {
+  // The engine bounds every batch through evaluate_siblings; an evaluator
+  // that only knows flat batches must see the whole call as ONE evaluate()
+  // batch, every group's children in group order.
+  const fsp::Instance inst = fsp::taillard_instance(1);
+  const auto data = fsp::LowerBoundData::build(inst);
+  CallbackEvaluator eval("lb1-callback", [&](const Subproblem& sp) {
+    return fsp::lb1_from_prefix(inst, data, sp.prefix());
+  });
+
+  auto cases = random_sibling_cases(inst, 3, 47);
+  std::vector<SiblingBatch> groups;
+  std::size_t nodes = 0;
+  for (auto& c : cases) {
+    groups.push_back(c.batch());
+    nodes += c.children.size();
+  }
+  eval.evaluate_siblings(groups);
+
+  EXPECT_EQ(eval.ledger().batches, 1u);
+  EXPECT_EQ(eval.ledger().nodes, nodes);
+  for (auto& c : cases) {
+    for (std::size_t i = 0; i < c.children.size(); ++i) {
+      ASSERT_EQ(c.bounds[i],
+                fsp::lb1_from_prefix(inst, data, c.children[i].prefix()));
+    }
+  }
+}
+
 class ThreadedSiblingsMatchSerial : public ::testing::TestWithParam<int> {};
 
 TEST_P(ThreadedSiblingsMatchSerial, IdenticalBoundsForAnyThreadCount) {

@@ -33,10 +33,14 @@ TEST(BruteForce, EvaluatesFactoriallyManySchedules) {
 }
 
 TEST(BruteForce, GuardsAgainstLargeInstances) {
-  Matrix<Time> pt(12, 2, 1);
-  const Instance inst("12x2", std::move(pt));
-  EXPECT_THROW(brute_force(inst), CheckFailure);
-  EXPECT_NO_THROW(brute_force(inst, /*max_jobs=*/12));
+  // The default cap refuses 12 jobs before enumerating anything.
+  const Instance large("12x2", Matrix<Time>(12, 2, 1));
+  EXPECT_THROW(brute_force(large), CheckFailure);
+  // The boundary itself, on an instance small enough to enumerate: a cap
+  // equal to the job count admits it, one below refuses it.
+  const Instance small("4x2", Matrix<Time>(4, 2, 1));
+  EXPECT_NO_THROW(brute_force(small, /*max_jobs=*/4));
+  EXPECT_THROW(brute_force(small, /*max_jobs=*/3), CheckFailure);
 }
 
 TEST(BruteForceCompletion, RespectsThePrefix) {

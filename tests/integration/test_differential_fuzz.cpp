@@ -141,7 +141,9 @@ INSTANTIATE_TEST_SUITE_P(Shards, SeamVsReplayFuzz, ::testing::Range(0, 4));
 // drives the sibling seam — same engine, same batch size, so not just the
 // optimum but every search counter must be bit-identical. A single wrong
 // device-side bound, a lost child slot or a mis-derived permutation would
-// branch a different tree and show up in `generated`/`pruned`.
+// branch a different tree and show up in `generated`/`pruned`. With
+// --gpu-pool repack both backends are flat-batch evaluators instead, and
+// the same counters pin the default evaluate_siblings path.
 class GpuResidentVsSerialFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(GpuResidentVsSerialFuzz, SearchCountersAreBitIdentical) {
@@ -168,36 +170,37 @@ TEST_P(GpuResidentVsSerialFuzz, SearchCountersAreBitIdentical) {
     serial.batch_size = 64;  // same offload shape on both sides
     const api::SolveReport reference = api::Solver(serial).solve(inst);
 
-    for (const std::string backend : {"gpu-sim", "adaptive"}) {
-      api::SolverConfig gpu;
-      gpu.backend = backend;
-      gpu.batch_size = 64;
-      gpu.threads = 3;
-      const api::SolveReport report = api::Solver(gpu).solve(inst);
-      ASSERT_EQ(report.best_makespan, reference.best_makespan)
-          << backend << " " << label;
-      ASSERT_EQ(report.best_permutation, reference.best_permutation)
-          << backend << " " << label;
-      ASSERT_EQ(report.stats.branched, reference.stats.branched)
-          << backend << " " << label;
-      ASSERT_EQ(report.stats.generated, reference.stats.generated)
-          << backend << " " << label;
-      ASSERT_EQ(report.stats.evaluated, reference.stats.evaluated)
-          << backend << " " << label;
-      ASSERT_EQ(report.stats.pruned, reference.stats.pruned)
-          << backend << " " << label;
-      ASSERT_EQ(report.stats.leaves, reference.stats.leaves)
-          << backend << " " << label;
-      ASSERT_EQ(report.stats.ub_updates, reference.stats.ub_updates)
-          << backend << " " << label;
-      if (backend == "gpu-sim") {
-        // The resident pool actually carried the search: shard stats are
-        // present and account every bounded child.
-        ASSERT_TRUE(report.pool.has_value()) << label;
-        std::uint64_t allocated = 0;
-        for (const auto& s : report.pool->shards) allocated += s.allocated;
-        EXPECT_EQ(allocated + report.pool->overflow, report.stats.evaluated)
-            << label;
+    // Resident mode drives the engine's resident path; repack mode makes
+    // both backends flat-batch evaluators, bounded through the default
+    // evaluate_siblings.
+    for (const gpubb::GpuPoolMode mode :
+         {gpubb::GpuPoolMode::kResident, gpubb::GpuPoolMode::kRepack}) {
+      for (const std::string backend : {"gpu-sim", "adaptive"}) {
+        const std::string who = backend + " " +
+                                gpubb::to_string(mode) + " " + label;
+        api::SolverConfig gpu;
+        gpu.backend = backend;
+        gpu.gpu_pool = mode;
+        gpu.batch_size = 64;
+        gpu.threads = 3;
+        const api::SolveReport report = api::Solver(gpu).solve(inst);
+        ASSERT_EQ(report.best_makespan, reference.best_makespan) << who;
+        ASSERT_EQ(report.best_permutation, reference.best_permutation) << who;
+        ASSERT_EQ(report.stats.branched, reference.stats.branched) << who;
+        ASSERT_EQ(report.stats.generated, reference.stats.generated) << who;
+        ASSERT_EQ(report.stats.evaluated, reference.stats.evaluated) << who;
+        ASSERT_EQ(report.stats.pruned, reference.stats.pruned) << who;
+        ASSERT_EQ(report.stats.leaves, reference.stats.leaves) << who;
+        ASSERT_EQ(report.stats.ub_updates, reference.stats.ub_updates) << who;
+        if (backend == "gpu-sim" && mode == gpubb::GpuPoolMode::kResident) {
+          // The resident pool actually carried the search: shard stats
+          // are present and account every bounded child.
+          ASSERT_TRUE(report.pool.has_value()) << who;
+          std::uint64_t allocated = 0;
+          for (const auto& s : report.pool->shards) allocated += s.allocated;
+          EXPECT_EQ(allocated + report.pool->overflow, report.stats.evaluated)
+              << who;
+        }
       }
     }
   }

@@ -150,8 +150,10 @@ TEST(StealEngine, MultiWorkerRunsActuallySteal) {
   // acquire its first node by stealing; the merged stats must show it.
   // (The engine's start barrier makes this deterministic enough: thieves
   // exist before the root is branched, and the weak incumbent guarantees
-  // a tree far larger than one worker clears before they probe.)
-  const fsp::Instance inst = random_instance(11, 5, 5);
+  // a tree far larger than one worker clears before they probe. 15
+  // machines keep that tree at thousands of nodes, so even a loaded host
+  // schedules the thieves before the starter clears it.)
+  const fsp::Instance inst = random_instance(11, 15, 5);
   const auto data = fsp::LowerBoundData::build(inst);
   MtOptions options;
   options.threads = 4;

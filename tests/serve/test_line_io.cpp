@@ -1,9 +1,11 @@
-// Bounded line reading: both primitives cap memory per request line,
-// discard over-long lines (surfacing a marker instead of dying or
-// buffering without limit), normalize CRLF, and keep the stream usable
-// for the next well-behaved line.
+// Line reading: both primitives cap memory per request line, discard
+// over-long lines (surfacing a marker instead of dying or buffering
+// without limit), normalize CRLF, and keep the stream usable for the next
+// well-behaved line. The DistTransport cases drive the same reader the
+// way the coordinator does: uncapped, over worker stdout.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -108,6 +110,93 @@ TEST(ServeLineIO, StreamReturnsFinalUnterminatedLine) {
   EXPECT_EQ(read_line_bounded(in, line, 64), LineStatus::kLine);
   EXPECT_EQ(line, "no-newline-at-eof");
   EXPECT_EQ(read_line_bounded(in, line, 64), LineStatus::kEof);
+}
+
+
+// --- the coordinator's uncapped reader and the shared line normalization --
+
+BoundedLineReader uncapped() {
+  return BoundedLineReader(std::numeric_limits<std::size_t>::max());
+}
+
+std::vector<std::string> texts(
+    const std::vector<BoundedLineReader::Line>& lines) {
+  std::vector<std::string> out;
+  for (const BoundedLineReader::Line& line : lines) {
+    EXPECT_FALSE(line.oversized);
+    out.push_back(line.text);
+  }
+  return out;
+}
+
+TEST(DistTransport, NormalizeStripsOneTrailingCarriageReturn) {
+  std::string line = "{\"op\":\"status\"}\r";
+  EXPECT_TRUE(normalize_transport_line(line));
+  EXPECT_EQ(line, "{\"op\":\"status\"}");
+
+  // Only the CRLF framing '\r' goes; an embedded one is payload.
+  line = "a\rb\r";
+  EXPECT_TRUE(normalize_transport_line(line));
+  EXPECT_EQ(line, "a\rb");
+}
+
+TEST(DistTransport, NormalizeRejectsBlankLines) {
+  for (const char* blank : {"", "\r", " ", "   ", "\t", " \t ", " \t\r"}) {
+    std::string line = blank;
+    EXPECT_FALSE(normalize_transport_line(line)) << '"' << blank << '"';
+  }
+}
+
+TEST(DistTransport, NormalizeKeepsPayloadLinesIntact) {
+  std::string line = "{}";
+  EXPECT_TRUE(normalize_transport_line(line));
+  EXPECT_EQ(line, "{}");
+
+  // Leading/inner whitespace is the JSON parser's business, not ours.
+  line = "  {\"a\": 1}";
+  EXPECT_TRUE(normalize_transport_line(line));
+  EXPECT_EQ(line, "  {\"a\": 1}");
+}
+
+TEST(DistTransport, LineReaderReassemblesSplitChunks) {
+  BoundedLineReader reader = uncapped();
+  const std::string stream =
+      "{\"event\":\"ready\"}\n{\"event\":\"done\"}\n";
+  std::vector<std::string> lines;
+  // Feed one byte at a time — the worst poll(2) can do.
+  for (const char c : stream) {
+    for (std::string& line : texts(reader.feed(&c, 1))) {
+      lines.push_back(std::move(line));
+    }
+  }
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0], "{\"event\":\"ready\"}");
+  EXPECT_EQ(lines[1], "{\"event\":\"done\"}");
+  EXPECT_EQ(reader.pending(), 0u);
+}
+
+TEST(DistTransport, LineReaderDropsBlankAndNormalizesCrlf) {
+  BoundedLineReader reader = uncapped();
+  const std::vector<std::string> lines =
+      texts(feed_str(reader, "a\r\n\r\n\n  \nb\n"));
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0], "a");
+  EXPECT_EQ(lines[1], "b");
+}
+
+TEST(DistTransport, LineReaderBuffersUnterminatedTail) {
+  BoundedLineReader reader = uncapped();
+  const std::string head = "{\"half\":";
+  EXPECT_TRUE(feed_str(reader, head).empty());
+  EXPECT_EQ(reader.pending(), head.size());
+
+  // A checkpoint line far past any request cap still comes back whole.
+  const std::string pool(100000, '7');
+  const std::vector<std::string> lines =
+      texts(feed_str(reader, pool + "}\n"));
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0], head + pool + "}");
+  EXPECT_EQ(reader.pending(), 0u);
 }
 
 }  // namespace

@@ -17,17 +17,33 @@
 //   --kill-after-checkpoints N   ...after N acks (default 1)
 //   --json                  one JSON report line instead of text
 //   --verbose               coordinator event log on stderr
+//   --help                  print the flags and exit
 //
 // Examples:
 //   $ fsbb_coordinator --jobs 12 --machines 6 --dist-workers 3
 //   $ fsbb_coordinator --ta 1 --backend cpu-threads --dist-workers 4 --json
 //   $ fsbb_coordinator --jobs 12 --machines 6 --kill-worker 1 --verbose
 #include <iostream>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "api/solver_config.h"
 #include "dist/coordinator.h"
+
+namespace {
+
+void print_usage(std::ostream& os) {
+  os << "flags: ";
+  for (const std::string& f : fsbb::api::SolverConfig::cli_flags()) {
+    os << "--" << f << " ";
+  }
+  os << "--dist-workers --frontier-nodes --slice-nodes --worker-cmd "
+        "--max-respawns --kill-worker --kill-after-checkpoints --json "
+        "--verbose --help\n";
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace fsbb;
@@ -44,6 +60,10 @@ int main(int argc, char** argv) {
                   "worker-cmd", "max-respawns", "kill-worker",
                   "kill-after-checkpoints"});
     args = CliArgs::parse(argc, argv, known, {"json", "verbose"});
+    if (args.help()) {
+      print_usage(std::cout);
+      return 0;
+    }
     config = api::SolverConfig::from_cli(args);
 
     const std::int64_t workers = args.get_int_or("dist-workers", 3);
@@ -67,13 +87,8 @@ int main(int argc, char** argv) {
       };
     }
   } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n\nflags: ";
-    for (const std::string& f : api::SolverConfig::cli_flags()) {
-      std::cerr << "--" << f << " ";
-    }
-    std::cerr << "--dist-workers --frontier-nodes --slice-nodes "
-                 "--worker-cmd --max-respawns --kill-worker "
-                 "--kill-after-checkpoints --json --verbose\n";
+    std::cerr << e.what() << "\n\n";
+    print_usage(std::cerr);
     return 1;
   }
 

@@ -33,6 +33,7 @@
 //                             server instead of one session (CI teardown)
 //   --worker                  distributed worker mode (dist/ shard
 //                             protocol; see src/dist/worker.h)
+//   --help                    print the flags and exit
 //
 // Requests:
 //   {"op":"submit","id":"j1","cli":"--jobs 12 --machines 8 --backend cpu-steal",
@@ -61,7 +62,6 @@
 
 #include "common/cli.h"
 #include "common/json.h"
-#include "dist/transport.h"
 #include "dist/worker.h"
 #include "serve/line_io.h"
 #include "serve/listener.h"
@@ -72,6 +72,15 @@ namespace {
 using namespace fsbb;
 
 serve::Listener* g_listener = nullptr;
+
+constexpr const char* kUsage =
+    "usage: fsbb_serve [--workers N] [--quiet-progress]"
+    " [--listen PORT] [--max-line-bytes N]"
+    " [--max-tenant-jobs N] [--max-queue-depth N]"
+    " [--idle-timeout-ms N] [--max-connections N]"
+    " [--cache-capacity N] [--metrics-interval-ms N]"
+    " [--allow-remote-shutdown] [--worker] [--help]"
+    "  (NDJSON requests on stdin or the socket)\n";
 
 void handle_signal(int) {
   if (g_listener != nullptr) g_listener->request_stop();
@@ -107,7 +116,7 @@ int run_stdio(serve::Server& server) {
     // CRLF clients (netcat -C, telnet, Windows pipes) terminate every
     // line with \r\n, and interactive sessions send blank keep-alive
     // lines; neither must reach the JSON parser.
-    if (!dist::normalize_transport_line(line)) continue;
+    if (!serve::normalize_transport_line(line)) continue;
     shutdown = client->handle_line(line) == serve::Client::Action::kShutdown;
   }
   if (shutdown) client->cancel_all();  // explicit shutdown: stop everything
@@ -144,6 +153,10 @@ int main(int argc, char** argv) {
          "max-queue-depth", "idle-timeout-ms", "max-connections",
          "cache-capacity", "metrics-interval-ms"},
         {"quiet-progress", "worker", "allow-remote-shutdown"});
+    if (args.help()) {
+      std::cout << kUsage;
+      return 0;
+    }
     if (args.has("worker")) {
       return dist::run_worker(std::cin, std::cout);
     }
@@ -170,14 +183,7 @@ int main(int argc, char** argv) {
       port = static_cast<std::uint16_t>(p);
     }
   } catch (const std::exception& e) {
-    std::cerr << e.what()
-              << "\nusage: fsbb_serve [--workers N] [--quiet-progress]"
-                 " [--listen PORT] [--max-line-bytes N]"
-                 " [--max-tenant-jobs N] [--max-queue-depth N]"
-                 " [--idle-timeout-ms N] [--max-connections N]"
-                 " [--cache-capacity N] [--metrics-interval-ms N]"
-                 " [--allow-remote-shutdown] [--worker]"
-                 "  (NDJSON requests on stdin or the socket)\n";
+    std::cerr << e.what() << "\n" << kUsage;
     return 1;
   }
 

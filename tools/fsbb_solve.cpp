@@ -6,6 +6,7 @@
 // --progress work uniformly across every backend. Extra switches on top of
 // the config:
 //
+//   --help              print the flags and exit
 //   --list-backends     print the registry and exit
 //   --all               run every registered backend on the same instance(s)
 //   --json              emit one JSON report per line instead of text
@@ -35,6 +36,14 @@
 #include "common/table.h"
 
 namespace {
+
+void print_usage(std::ostream& os) {
+  os << "flags: ";
+  for (const std::string& f : fsbb::api::SolverConfig::cli_flags()) {
+    os << "--" << f << " ";
+  }
+  os << "--list-backends --all --json --progress --frozen --help\n";
+}
 
 int list_backends() {
   using namespace fsbb;
@@ -86,13 +95,14 @@ int main(int argc, char** argv) {
     known.push_back("frozen");
     args = CliArgs::parse(argc, argv, known,
                           {"list-backends", "all", "json", "progress"});
+    if (args.help()) {
+      print_usage(std::cout);
+      return 0;
+    }
     config = api::SolverConfig::from_cli(args);
   } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n\nflags: ";
-    for (const std::string& f : api::SolverConfig::cli_flags()) {
-      std::cerr << "--" << f << " ";
-    }
-    std::cerr << "--list-backends --all --json --progress --frozen\n";
+    std::cerr << e.what() << "\n\n";
+    print_usage(std::cerr);
     return 1;
   }
 
