@@ -426,6 +426,10 @@ double JsonValue::as_number() const {
 
 std::int64_t JsonValue::as_int() const {
   const double d = as_number();
+  // Casting a double outside int64's range is undefined; 2^63 is the
+  // first double past it.
+  FSBB_CHECK_MSG(d >= -0x1p63 && d < 0x1p63,
+                 "JSON number does not fit a 64-bit integer");
   const auto i = static_cast<std::int64_t>(d);
   FSBB_CHECK_MSG(static_cast<double>(i) == d, "JSON number is not integral");
   return i;

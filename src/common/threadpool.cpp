@@ -69,14 +69,19 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop(std::size_t worker_index) {
+  std::uint64_t joined = 0;  // generation of the last batch this worker saw
   for (;;) {
     // Workers hold a shared_ptr copy so the batch outlives any straggler
     // even after the caller has returned from parallel_for.
     std::shared_ptr<Batch> batch;
     {
+      // Sleep until a batch newer than the last one is posted: a worker
+      // that finds no chunk left must not spin on the lock while the
+      // chunks others hold finish, or it takes their core.
       UniqueLock lock(mu_);
-      while (!stop_ && current_ == nullptr) cv_work_.wait(lock);
+      while (!stop_ && generation_ == joined) cv_work_.wait(lock);
       if (stop_) return;
+      joined = generation_;
       batch = current_;
     }
     if (!batch) continue;
@@ -115,6 +120,7 @@ void ThreadPool::parallel_for(
     FSBB_CHECK_MSG(current_ == nullptr,
                    "nested / concurrent parallel_for is not supported");
     current_ = batch;
+    ++generation_;
   }
   cv_work_.notify_all();
 

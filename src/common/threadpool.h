@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -48,6 +49,7 @@ class ThreadPool {
   CondVar cv_work_;
   CondVar cv_done_;
   std::shared_ptr<Batch> current_ FSBB_GUARDED_BY(mu_);
+  std::uint64_t generation_ FSBB_GUARDED_BY(mu_) = 0;  // batches posted
   bool stop_ FSBB_GUARDED_BY(mu_) = false;
 };
 

@@ -19,11 +19,18 @@ using JobId = std::int16_t;
 /// Time quantity (processing times, completion times, makespans, bounds).
 using Time = std::int32_t;
 
+/// Narrows a parsed processing time to Time. Throws CheckFailure, naming
+/// the value, when it is negative or above numeric_limits<Time>::max().
+Time checked_time(std::int64_t value);
+
 /// Immutable problem instance: the processing-time matrix plus metadata.
 class Instance {
  public:
   /// `pt` is job-major: pt(j, k) = processing time of job j on machine k.
-  /// Throws CheckFailure on empty dimensions or negative times.
+  /// Throws CheckFailure on empty dimensions, negative times, or a total
+  /// work that is not strictly below numeric_limits<Time>::max() — the
+  /// engines' no-incumbent sentinel. No makespan exceeds the total work,
+  /// so every makespan then fits in Time.
   Instance(std::string name, Matrix<Time> pt);
 
   int jobs() const { return static_cast<int>(pt_.rows()); }

@@ -49,8 +49,7 @@ std::vector<InstanceRecord> read_taillard_stream(std::istream& in) {
       for (int job = 0; job < n; ++job) {
         const auto v = next_int(in);
         FSBB_CHECK_MSG(v.has_value(), "truncated processing-time matrix");
-        FSBB_CHECK_MSG(*v >= 0, "negative processing time");
-        pt(job, machine) = static_cast<Time>(*v);
+        pt(job, machine) = checked_time(*v);
       }
     }
 

@@ -32,6 +32,8 @@ struct TransferLedger {
 class TransferModel {
  public:
   explicit TransferModel(const DeviceSpec& spec) : spec_(&spec) {}
+  /// The model keeps a pointer to the spec: a temporary would dangle.
+  TransferModel(DeviceSpec&&) = delete;
 
   /// Modeled seconds for one transfer of `bytes`.
   double seconds(std::size_t bytes) const;

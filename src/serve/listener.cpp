@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -22,7 +23,8 @@ constexpr int kPollTickMs = 200;
 /// Mutex-serialized line writer over one socket fd. Owns the fd; close()
 /// (or destruction) releases it, after which writes become no-ops — so a
 /// Client sink can safely outlive its session. MSG_NOSIGNAL keeps a peer
-/// that hung up from killing the process with SIGPIPE.
+/// that hung up from killing the process with SIGPIPE. Each framed line
+/// goes out in one send(): with Nagle off, two sends would be two segments.
 class SocketWriter {
  public:
   explicit SocketWriter(int fd) : fd_(fd) {}
@@ -156,6 +158,13 @@ void Listener::serve() {
     }
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
+    // Nagle off: every request answers with two small lines, `accepted`
+    // and then `result` (a solve's from the job's completion callback on a
+    // worker thread, so they cannot share a send). With Nagle on, `result`
+    // waits until the peer ACKs `accepted`, and peers delay that ACK
+    // (40 ms minimum on Linux).
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
     const LockGuard lock(mu_);
     reap_locked();

@@ -66,7 +66,7 @@ fsp::Instance instance_from_json(const JsonValue& value) {
     FSBB_CHECK_MSG(row.size() == machines,
                    "\"ptm\" rows must all have the same machine count");
     for (std::size_t k = 0; k < machines; ++k) {
-      pt(j, k) = static_cast<fsp::Time>(row[k].as_int());
+      pt(j, k) = fsp::checked_time(row[k].as_int());
     }
   }
   return fsp::Instance(value.string_or("name", "wire-instance"),

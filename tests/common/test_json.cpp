@@ -127,6 +127,7 @@ TEST(Json, TypedAccessorsRejectMismatches) {
   EXPECT_THROW(v.as_array(), CheckFailure);
   EXPECT_THROW(v.find("s")->as_number(), CheckFailure);
   EXPECT_THROW(v.find("n")->as_int(), CheckFailure);  // not integral
+  EXPECT_THROW(JsonValue::parse("1e30").as_int(), CheckFailure);  // > int64
   EXPECT_THROW(v.int_or("s", 0), CheckFailure);       // present, wrong type
   EXPECT_EQ(v.int_or("missing", 7), 7);
   EXPECT_EQ(v.bool_or("missing", true), true);

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <ctime>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -113,6 +116,24 @@ TEST(ThreadPool, ChunkParameterRespected) {
                     [&](std::size_t, std::size_t, std::size_t) { ++calls; },
                     /*chunks=*/10);
   EXPECT_EQ(calls.load(), 10);
+}
+
+TEST(ThreadPool, IdleWorkersSleepWhileAChunkRuns) {
+  // One chunk blocks for 100 ms; whoever holds the other has nothing left
+  // to do and must sleep, not spin on the pool's lock, until it finishes.
+  ThreadPool pool(3);
+  const std::clock_t cpu_before = std::clock();
+  pool.parallel_for(0, 2,
+                    [](std::size_t lo, std::size_t, std::size_t) {
+                      if (lo == 0) {
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(100));
+                      }
+                    },
+                    /*chunks=*/2);
+  const double cpu_ms = 1e3 * static_cast<double>(std::clock() - cpu_before) /
+                        CLOCKS_PER_SEC;
+  EXPECT_LT(cpu_ms, 50.0);
 }
 
 }  // namespace

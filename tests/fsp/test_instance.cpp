@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/check.h"
 
 namespace fsbb::fsp {
@@ -43,6 +45,16 @@ TEST(Instance, RejectsNegativeTimes) {
   Matrix<Time> pt(2, 2, 1);
   pt(1, 1) = -1;
   EXPECT_THROW(Instance("bad", std::move(pt)), CheckFailure);
+  // The total work must stay strictly below the no-incumbent sentinel.
+  EXPECT_THROW(Instance("wraps", Matrix<Time>(2, 2, 2000000000)),
+               CheckFailure);
+  Matrix<Time> at_sentinel(1, 2, 0);
+  at_sentinel(0, 1) = std::numeric_limits<Time>::max();
+  EXPECT_THROW(Instance("sentinel", std::move(at_sentinel)), CheckFailure);
+  Matrix<Time> below(1, 2, 0);
+  below(0, 1) = std::numeric_limits<Time>::max() - 1;
+  EXPECT_EQ(Instance("fits", std::move(below)).total_work(),
+            std::numeric_limits<Time>::max() - 1);
 }
 
 TEST(Instance, ZeroTimesAreAllowed) {

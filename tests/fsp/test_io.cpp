@@ -82,6 +82,9 @@ TEST(Io, NegativeTimeThrows) {
   const std::string text = "2 2 1 0 0\n1 -2\n3 4\n";
   std::istringstream in(text);
   EXPECT_THROW(read_taillard_stream(in), CheckFailure);
+  // A time above what fsp::Time holds must not wrap into a small one.
+  std::istringstream too_big("2 2 1 0 0\n4294967297 5\n3 4\n");
+  EXPECT_THROW(read_taillard_stream(too_big), CheckFailure);
 }
 
 TEST(Io, MissingFileThrows) {

@@ -16,7 +16,8 @@ TEST(TransferModel, LatencyPlusBandwidth) {
 }
 
 TEST(TransferModel, MonotoneInBytes) {
-  const TransferModel model(DeviceSpec::tesla_c2050());
+  const DeviceSpec spec = DeviceSpec::tesla_c2050();
+  const TransferModel model(spec);
   double prev = 0;
   for (std::size_t bytes = 1; bytes < 1u << 28; bytes *= 4) {
     const double t = model.seconds(bytes);
@@ -26,7 +27,8 @@ TEST(TransferModel, MonotoneInBytes) {
 }
 
 TEST(TransferModel, LedgerAccumulatesBothDirections) {
-  const TransferModel model(DeviceSpec::tesla_c2050());
+  const DeviceSpec spec = DeviceSpec::tesla_c2050();
+  const TransferModel model(spec);
   TransferLedger ledger;
   model.record(TransferDir::kHostToDevice, 1000, ledger);
   model.record(TransferDir::kHostToDevice, 2000, ledger);
@@ -41,7 +43,8 @@ TEST(TransferModel, LedgerAccumulatesBothDirections) {
 }
 
 TEST(TransferModel, RecordReturnsTheModeledSeconds) {
-  const TransferModel model(DeviceSpec::tesla_c2050());
+  const DeviceSpec spec = DeviceSpec::tesla_c2050();
+  const TransferModel model(spec);
   TransferLedger ledger;
   const double s = model.record(TransferDir::kDeviceToHost, 4096, ledger);
   EXPECT_DOUBLE_EQ(s, model.seconds(4096));

@@ -1,8 +1,9 @@
 // serve::Listener over real loopback sockets: ephemeral binding,
 // concurrent sessions sharing one cache and quota table, oversized-line
-// errors, idle timeouts, max-connection rejection, and — the teardown
-// property the serving layer exists for — a client killed mid-solve
-// leaves the server healthy, with its job canceled and drained.
+// errors, idle timeouts, max-connection rejection, back-to-back requests
+// answered without a delayed-ACK stall, and — the teardown property the
+// serving layer exists for — a client killed mid-solve leaves the server
+// healthy, with its job canceled and drained.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -10,10 +11,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/json.h"
 #include "serve/listener.h"
@@ -251,6 +254,36 @@ TEST(ServeListener, ConnectionsBeyondTheCapAreTurnedAway) {
   // The first connection is unaffected.
   kept.send_line(R"({"op":"metrics"})");
   EXPECT_FALSE(kept.read_until("\"event\":\"metrics\"").empty());
+}
+
+TEST(ServeListener, BackToBackRequestsDoNotWaitForDelayedAck) {
+  Harness h(quiet_options());
+  // TestConn sets no socket options: like any peer, it delays its ACKs.
+  TestConn conn(h.listener.port());
+  const auto round_trip_ms = [&conn](int i) {
+    const auto start = std::chrono::steady_clock::now();
+    conn.send_line(R"({"op":"submit","id":"r)" + std::to_string(i) +
+                   R"(","cli":"--backend cpu-serial","instance":{"ptm":)"
+                   R"([[5,3,2,4],[1,4,4,2],[3,1,5,2],[2,2,3,3],[4,5,1,1],)"
+                   R"([3,3,3,2]]}})");
+    const std::string result = conn.read_until("\"event\":\"result\"");
+    EXPECT_NE(result.find("\"stop_reason\":\"optimal\""), std::string::npos)
+        << result;
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  round_trip_ms(0);  // the fresh solve fills the cache
+
+  // Every repeat is an exact hit: `accepted` and `result` leave back to
+  // back. With Nagle on, `result` waits for the ACK of `accepted`, which
+  // the client delays (40 ms on Linux) once the connection's quick-ACK
+  // start is over.
+  std::vector<double> ms;
+  for (int i = 1; i <= 20; ++i) ms.push_back(round_trip_ms(i));
+  EXPECT_EQ(h.server.metrics().cache_exact_hits(), 20u);
+  std::nth_element(ms.begin(), ms.begin() + ms.size() / 2, ms.end());
+  EXPECT_LT(ms[ms.size() / 2], 10.0);
 }
 
 TEST(ServeListener, ClientKilledMidSolveLeavesServerHealthy) {

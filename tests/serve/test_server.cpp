@@ -143,6 +143,19 @@ TEST(ServeClient, MalformedExplicitInstanceRejects) {
   client->handle_line(
       R"({"op":"submit","id":"w3","cli":"","instance":{"ptm":[[1,2],[3]]}})");
   out.wait_for("same machine count");
+  // A time fsp::Time cannot hold, and a total work whose makespans would
+  // wrap: both answer `rejected`, never a wrong optimum.
+  client->handle_line(
+      R"({"op":"submit","id":"w4","cli":"",)"
+      R"("instance":{"ptm":[[4294967297,5],[3,4]]}})");
+  EXPECT_NE(out.wait_for("4294967297").find("\"event\":\"rejected\""),
+            std::string::npos);
+  client->handle_line(
+      R"({"op":"submit","id":"w5","cli":"","instance":{"ptm":)"
+      R"([[2000000000,2000000000],[2000000000,2000000000]]}})");
+  EXPECT_NE(out.wait_for("total work 8000000000")
+                .find("\"event\":\"rejected\""),
+            std::string::npos);
 }
 
 TEST(ServeClient, MetricsOpReturnsFullRegistry) {
