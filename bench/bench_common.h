@@ -13,6 +13,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdlib>
+#include <exception>
+#include <iostream>
 #include <utility>
 
 #include "api/scenario.h"
@@ -34,6 +37,30 @@ inline constexpr std::size_t kFrontierNodes = api::kDefaultFrontierNodes;
 
 /// Nodes frozen per instance; they double as the kernel measurement sample.
 inline constexpr std::size_t kFreezeTarget = api::kDefaultFreezeTarget;
+
+/// A bench's command line: the SolverConfig flags and the config they set.
+struct BenchArgs {
+  CliArgs args;
+  api::SolverConfig config;
+};
+
+/// Parses a bench's flags. `--help` prints `usage` and exits 0; a bad flag
+/// prints its message and exits 1 rather than escaping main.
+inline BenchArgs parse_bench_args(int argc, char** argv, const char* usage) {
+  try {
+    BenchArgs out;
+    out.args = CliArgs::parse(argc, argv, api::SolverConfig::cli_flags());
+    if (out.args.help()) {
+      std::cout << usage << "\n";
+      std::exit(0);
+    }
+    out.config = api::SolverConfig::from_cli(out.args);
+    return out;
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << "\n" << usage << "\n";
+    std::exit(1);
+  }
+}
 
 /// One benchmark instance with its frozen workload (facade type).
 using InstanceSetup = api::Workload;

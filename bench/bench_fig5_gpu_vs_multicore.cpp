@@ -10,6 +10,9 @@
 // instance size (x6.7 on 20x20 up to x11.5 on 200x20) because bigger
 // kernels raise the GPU's useful throughput while the multi-core speedup
 // stays flat.
+//
+//   $ bench_fig5_gpu_vs_multicore [--device c2050|c1060] [--placement P]
+//                                 [--block-threads T]
 #include <iostream>
 
 #include "api/scenario.h"
@@ -23,9 +26,10 @@ int main(int argc, char** argv) {
   constexpr double kGflopsBudget = 500.0;
   constexpr std::size_t kPool = 262144;
 
-  const CliArgs args =
-      CliArgs::parse(argc, argv, api::SolverConfig::cli_flags());
-  api::SolverConfig config = api::SolverConfig::from_cli(args);
+  auto [args, config] = bench::parse_bench_args(
+      argc, argv,
+      "usage: bench_fig5_gpu_vs_multicore [--device c2050|c1060] "
+      "[--placement P] [--block-threads T]");
   if (!args.has("placement")) {
     // Fig. 5 uses the paper's shared-JM+PTM recommendation; on devices
     // without the Fermi shared/L1 split, fall back to the greedy knapsack

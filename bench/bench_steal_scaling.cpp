@@ -10,11 +10,12 @@
 // gap widening with the thread count as the single lock saturates —
 // work-stealing should win clearly by 8 threads.
 //
-// The work-stealing engine runs twice per row: per-shard mutex deques vs
-// the lock-free Chase–Lev deques (--deque chase-lev in the CLI).
+// The rows price pool locking, not stealing: the frozen pool (1034 nodes
+// on ta021) is round-robined across the shards up front, so no worker
+// runs dry within the budget and the steal columns read 0/0.
 //
 //   $ bench_steal_scaling [--jobs N] [--machines M] [--node-budget B]
-//                         [--steal-batch K] [--victim-order ORDER]
+//                         [--steal-batch K]
 #include <iostream>
 
 #include "api/scenario.h"
@@ -27,9 +28,10 @@
 int main(int argc, char** argv) {
   using namespace fsbb;
 
-  const CliArgs args =
-      CliArgs::parse(argc, argv, api::SolverConfig::cli_flags());
-  api::SolverConfig config = api::SolverConfig::from_cli(args);
+  const auto [args, config] = bench::parse_bench_args(
+      argc, argv,
+      "usage: bench_steal_scaling [--jobs N] [--machines M] "
+      "[--node-budget B] [--steal-batch K]");
   const int jobs = args.has("jobs") ? config.instance.jobs : 20;
   const int machines = args.has("machines") ? config.instance.machines : 20;
   const std::uint64_t budget =
@@ -43,13 +45,11 @@ int main(int argc, char** argv) {
             << workload.inst().name() << " (" << jobs << "x" << machines
             << "), frozen pool of " << workload.frozen.nodes.size()
             << " nodes, budget " << budget << " nodes/run, steal batch "
-            << config.steal_batch << ", victim order "
-            << core::to_string(config.victim_order) << "\n\n";
+            << config.steal_batch << "\n\n";
 
   AsciiTable table("same workload, same node budget — engine overhead only");
-  table.set_header({"threads", "shared-pool s", "mutex-deque s",
-                    "chase-lev s", "cl/mutex", "steals (ok/try)",
-                    "nodes stolen"});
+  table.set_header({"threads", "shared-pool s", "work-steal s",
+                    "steals (ok/try)", "nodes stolen"});
 
   double shared_base = 0, shared_last = 0;
   double steal_base = 0, steal_last = 0;
@@ -57,7 +57,6 @@ int main(int argc, char** argv) {
     mtbb::MtOptions options;
     options.threads = threads;
     options.node_budget = budget;
-    options.victim_order = config.victim_order;
     options.steal_batch = config.steal_batch;
 
     const WallTimer shared_timer;
@@ -66,19 +65,11 @@ int main(int argc, char** argv) {
         workload.frozen.incumbent, options);
     const double shared_s = shared_timer.seconds();
 
-    options.deque = core::DequeKind::kMutex;
     const WallTimer steal_timer;
     const core::SolveResult stolen = mtbb::steal_solve_from(
         workload.inst(), workload.lb(), workload.frozen.nodes,
         workload.frozen.incumbent, options);
     const double steal_s = steal_timer.seconds();
-
-    options.deque = core::DequeKind::kChaseLev;
-    const WallTimer cl_timer;
-    const core::SolveResult cl_stolen = mtbb::steal_solve_from(
-        workload.inst(), workload.lb(), workload.frozen.nodes,
-        workload.frozen.incumbent, options);
-    const double cl_s = cl_timer.seconds();
 
     if (threads == 1) {
       shared_base = shared_s;
@@ -87,14 +78,12 @@ int main(int argc, char** argv) {
     shared_last = shared_s;
     steal_last = steal_s;
     const core::StealStats steals =
-        cl_stolen.steal.value_or(core::StealStats{});
-    table.add_row(
-        {std::to_string(threads), AsciiTable::num(shared_s),
-         AsciiTable::num(steal_s), AsciiTable::num(cl_s),
-         AsciiTable::num(cl_s / steal_s) + "x",
-         std::to_string(steals.steal_successes) + "/" +
-             std::to_string(steals.steal_attempts),
-         std::to_string(steals.nodes_stolen)});
+        stolen.steal.value_or(core::StealStats{});
+    table.add_row({std::to_string(threads), AsciiTable::num(shared_s),
+                   AsciiTable::num(steal_s),
+                   std::to_string(steals.steal_successes) + "/" +
+                       std::to_string(steals.steal_attempts),
+                   std::to_string(steals.nodes_stolen)});
   }
   table.render(std::cout);
 

@@ -9,6 +9,9 @@
 //
 // Paper reference values: averages x44.52 (pool 4096) .. x60.64 (262144),
 // peak x77.46 on 200x20 at the largest pool; 20x20 peaks early at 8192.
+//
+//   $ bench_table2_global [--device c2050|c1060] [--placement P]
+//                         [--block-threads T]
 #include <cstdio>
 #include <iostream>
 
@@ -20,9 +23,10 @@
 int main(int argc, char** argv) {
   using namespace fsbb;
 
-  const CliArgs args =
-      CliArgs::parse(argc, argv, api::SolverConfig::cli_flags());
-  api::SolverConfig config = api::SolverConfig::from_cli(args);
+  auto [args, config] = bench::parse_bench_args(
+      argc, argv,
+      "usage: bench_table2_global [--device c2050|c1060] [--placement P] "
+      "[--block-threads T]");
   if (!args.has("placement")) {
     config.placement = gpubb::PlacementPolicy::kAllGlobal;  // Table II setup
   }

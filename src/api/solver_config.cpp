@@ -71,14 +71,18 @@ std::vector<fsp::Instance> make_instances(const InstanceSpec& spec) {
 
 namespace {
 
-// Non-negative numeric flag; rejects negatives before the unsigned cast
-// (a raw cast would wrap -1 to SIZE_MAX and sail past validate()).
-std::size_t get_count_flag(const CliArgs& args, const std::string& name,
-                           std::size_t fallback) {
+// Integer flag narrowed to T after a check against [0, max of T]: a raw
+// cast would wrap (-1 to SIZE_MAX, 2^32 + 6 to 6) and sail past
+// validate().
+template <typename T>
+T get_int_flag(const CliArgs& args, const std::string& name, T fallback) {
   const std::int64_t v =
       args.get_int_or(name, static_cast<std::int64_t>(fallback));
-  FSBB_CHECK_MSG(v >= 0, "flag --" + name + " must be >= 0");
-  return static_cast<std::size_t>(v);
+  const auto max = static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+  FSBB_CHECK_MSG(v >= 0 && static_cast<std::uint64_t>(v) <= max,
+                 "flag --" + name + " must be in [0, " + std::to_string(max) +
+                     "] (got " + std::to_string(v) + ")");
+  return static_cast<T>(v);
 }
 
 }  // namespace
@@ -89,8 +93,7 @@ const std::vector<std::string>& SolverConfig::cli_flags() {
       "threads",    "batch-workers", "block-threads", "placement",
       "device",     "ub",            "node-budget",   "time-limit",
       "ta",         "jobs",          "machines",      "seed",
-      "count",      "victim-order",  "steal-batch",   "deque",
-      "deadline-ms",
+      "count",      "steal-batch",   "deadline-ms",
       "progress-interval-ms",        "gpu-pool",      "tenant",
       "priority",   "gpu-devices",
   };
@@ -105,46 +108,33 @@ SolverConfig SolverConfig::from_cli(const CliArgs& args) {
   c.backend = args.get_or("backend", c.backend);
   if (const auto v = args.get("bound")) c.bound = parse_bound(*v);
   if (const auto v = args.get("strategy")) c.strategy = parse_strategy(*v);
-  c.batch_size = get_count_flag(args, "batch", c.batch_size);
-  c.threads = get_count_flag(args, "threads", c.threads);
-  c.batch_workers = get_count_flag(args, "batch-workers", c.batch_workers);
-  if (const auto v = args.get("victim-order")) {
-    c.victim_order = core::parse_victim_order(*v);
-  }
-  c.steal_batch = get_count_flag(args, "steal-batch", c.steal_batch);
-  if (const auto v = args.get("deque")) {
-    c.deque = core::parse_deque_kind(*v);
-  }
-  c.block_threads =
-      static_cast<int>(args.get_int_or("block-threads", c.block_threads));
+  c.batch_size = get_int_flag(args, "batch", c.batch_size);
+  c.threads = get_int_flag(args, "threads", c.threads);
+  c.batch_workers = get_int_flag(args, "batch-workers", c.batch_workers);
+  c.steal_batch = get_int_flag(args, "steal-batch", c.steal_batch);
+  c.block_threads = get_int_flag(args, "block-threads", c.block_threads);
   if (const auto v = args.get("placement")) c.placement = parse_placement(*v);
   if (const auto v = args.get("gpu-pool")) {
     c.gpu_pool = gpubb::parse_gpu_pool_mode(*v);
   }
   c.device = args.get_or("device", c.device);
   c.gpu_devices = args.get_or("gpu-devices", c.gpu_devices);
-  if (args.has("ub")) {
-    c.initial_ub = static_cast<fsp::Time>(args.get_int_or("ub", 0));
-  }
-  c.node_budget =
-      static_cast<std::uint64_t>(get_count_flag(args, "node-budget",
-                                                static_cast<std::size_t>(c.node_budget)));
+  // --ub spans fsp::checked_time's range: a makespan fits in fsp::Time.
+  if (args.has("ub")) c.initial_ub = get_int_flag<fsp::Time>(args, "ub", 0);
+  c.node_budget = get_int_flag(args, "node-budget", c.node_budget);
   c.time_limit_seconds = args.get_double_or("time-limit", c.time_limit_seconds);
   if (args.has("deadline-ms")) {
-    c.deadline_ms = get_count_flag(args, "deadline-ms", 0);
+    c.deadline_ms = get_int_flag<std::uint64_t>(args, "deadline-ms", 0);
   }
   c.progress_interval_ms =
-      get_count_flag(args, "progress-interval-ms", c.progress_interval_ms);
+      get_int_flag(args, "progress-interval-ms", c.progress_interval_ms);
   c.tenant = args.get_or("tenant", c.tenant);
   c.priority = args.get_or("priority", c.priority);
-  c.instance.ta_id = static_cast<int>(args.get_int_or("ta", c.instance.ta_id));
-  c.instance.jobs = static_cast<int>(args.get_int_or("jobs", c.instance.jobs));
-  c.instance.machines =
-      static_cast<int>(args.get_int_or("machines", c.instance.machines));
-  c.instance.seed = static_cast<std::int32_t>(
-      args.get_int_or("seed", c.instance.seed));
-  c.instance.count =
-      static_cast<int>(args.get_int_or("count", c.instance.count));
+  c.instance.ta_id = get_int_flag(args, "ta", c.instance.ta_id);
+  c.instance.jobs = get_int_flag(args, "jobs", c.instance.jobs);
+  c.instance.machines = get_int_flag(args, "machines", c.instance.machines);
+  c.instance.seed = get_int_flag(args, "seed", c.instance.seed);
+  c.instance.count = get_int_flag(args, "count", c.instance.count);
   c.validate();
   return c;
 }
@@ -155,6 +145,22 @@ SolverConfig SolverConfig::from_argv(
   std::vector<std::string> known = cli_flags();
   known.insert(known.end(), extra_flags.begin(), extra_flags.end());
   return from_cli(CliArgs::parse(argc, argv, known));
+}
+
+SolverConfig SolverConfig::from_cli_payload(const JsonValue& cli) {
+  std::vector<std::string> tokens;
+  if (cli.is_array()) {
+    for (const JsonValue& item : cli.as_array()) {
+      tokens.push_back(item.as_string());
+    }
+  } else {
+    std::istringstream stream(cli.as_string());
+    std::string token;
+    while (stream >> token) tokens.push_back(token);
+  }
+  std::vector<const char*> argv{"cli"};
+  for (const std::string& t : tokens) argv.push_back(t.c_str());
+  return from_argv(static_cast<int>(argv.size()), argv.data());
 }
 
 std::vector<std::string> SolverConfig::to_cli() const {
@@ -168,9 +174,7 @@ std::vector<std::string> SolverConfig::to_cli() const {
   flag("batch", std::to_string(batch_size));
   flag("threads", std::to_string(threads));
   flag("batch-workers", std::to_string(batch_workers));
-  flag("victim-order", core::to_string(victim_order));
   flag("steal-batch", std::to_string(steal_batch));
-  flag("deque", core::to_string(deque));
   flag("block-threads", std::to_string(block_threads));
   flag("placement", gpubb::to_string(placement));
   flag("gpu-pool", gpubb::to_string(gpu_pool));
@@ -199,7 +203,12 @@ std::vector<std::string> SolverConfig::to_cli() const {
 
 void SolverConfig::validate() const {
   FSBB_CHECK_MSG(!backend.empty(), "backend key must not be empty");
-  FSBB_CHECK_MSG(threads >= 1, "threads must be >= 1");
+  FSBB_CHECK_MSG(threads >= 1 && threads <= kMaxWorkers,
+                 "threads must be in [1, " + std::to_string(kMaxWorkers) +
+                     "]");
+  FSBB_CHECK_MSG(batch_workers <= kMaxWorkers,
+                 "batch workers must be in [0, " +
+                     std::to_string(kMaxWorkers) + "]");
   FSBB_CHECK_MSG(steal_batch >= 1, "steal batch must be >= 1");
   FSBB_CHECK_MSG(time_limit_seconds >= 0, "time limit must be >= 0");
   FSBB_CHECK_MSG(!tenant.empty(), "tenant must not be empty");
@@ -208,6 +217,8 @@ void SolverConfig::validate() const {
       "unknown priority '" + priority + "' (high|normal|low)");
   device_spec_for(*this);     // throws on unknown device keys
   multi_device_specs(*this);  // throws on malformed --gpu-devices
+  FSBB_CHECK_MSG(instance.ta_id >= 0 && instance.ta_id <= 120,
+                 "Taillard id must be in [0, 120] (0 = generated instance)");
   if (instance.ta_id == 0) {
     FSBB_CHECK_MSG(instance.jobs >= 1 && instance.machines >= 1,
                    "instance dimensions must be >= 1");
@@ -243,6 +254,10 @@ std::vector<gpusim::DeviceSpec> multi_device_specs(const SolverConfig& config) {
   }
   FSBB_CHECK_MSG(pos == count_text.size() && !count_text.empty() && count >= 1,
                  "--gpu-devices wants N or N:key,key..., got '" + text + "'");
+  // Every simulated card owns a host thread pool.
+  FSBB_CHECK_MSG(static_cast<std::size_t>(count) <= SolverConfig::kMaxWorkers,
+                 "--gpu-devices asks for " + count_text + " cards; at most " +
+                     std::to_string(SolverConfig::kMaxWorkers));
 
   std::vector<gpusim::DeviceSpec> specs;
   if (colon == std::string::npos) {

@@ -15,8 +15,8 @@
 #include <vector>
 
 #include "common/cli.h"
+#include "common/json.h"
 #include "core/pool.h"
-#include "core/steal_stats.h"
 #include "fsp/instance.h"
 #include "gpubb/gpu_evaluator.h"
 #include "gpubb/placement.h"
@@ -58,6 +58,11 @@ std::vector<fsp::Instance> make_instances(const InstanceSpec& spec);
 /// here (and nothing derived from it, e.g. evaluator names) depends on the
 /// machine's detected hardware concurrency.
 struct SolverConfig {
+  /// Most threads, batch workers or simulated cards one config may ask
+  /// for. A fixed cap, not a flag: a remote "cli" payload must not be able
+  /// to make the host start 100000 threads.
+  static constexpr std::size_t kMaxWorkers = 256;
+
   /// Backend registry key: cpu-serial, cpu-threads, callback, gpu-sim,
   /// adaptive, multicore (api/backend_registry.h has the authoritative list).
   std::string backend = "cpu-serial";
@@ -71,12 +76,8 @@ struct SolverConfig {
   /// Concurrent jobs on the Solver's internal service (solve_many and
   /// solve alike); 0 = config.threads workers.
   std::size_t batch_workers = 0;
-  /// cpu-steal: victim scan order for starving workers.
-  core::VictimOrder victim_order = core::VictimOrder::kRoundRobin;
   /// cpu-steal: nodes moved per successful steal (>= 1).
   std::size_t steal_batch = 4;
-  /// cpu-steal: shard deque implementation (mutex | chase-lev).
-  core::DequeKind deque = core::DequeKind::kMutex;
   /// GPU kernel block size; 0 = the placement's recommended size.
   int block_threads = 0;
   gpubb::PlacementPolicy placement = gpubb::PlacementPolicy::kAuto;
@@ -128,11 +129,17 @@ struct SolverConfig {
   static SolverConfig from_argv(int argc, const char* const* argv,
                                 const std::vector<std::string>& extra_flags = {});
 
+  /// Reads a request's "cli" payload — one string of whitespace-separated
+  /// tokens or an array of token strings — as from_argv does (serve
+  /// submits, dist shard dispatches).
+  static SolverConfig from_cli_payload(const JsonValue& cli);
+
   /// The config as `--flag=value` tokens; from_cli(parse(to_cli())) == *this.
   std::vector<std::string> to_cli() const;
 
-  /// Checks enum-free fields (device key, thread counts); backend existence
-  /// is checked by the registry at Solver construction.
+  /// Checks enum-free fields (device key, thread counts capped at
+  /// kMaxWorkers, Taillard id in [0, 120]); backend existence is checked
+  /// by the registry at Solver construction.
   void validate() const;
 };
 

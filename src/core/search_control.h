@@ -102,7 +102,14 @@ class SearchControl {
     deadline_ns_.store(when.time_since_epoch().count(),
                        std::memory_order_release);
   }
+  /// A deadline more than kMaxDeadlineSeconds away (or NaN) means no
+  /// deadline: it outlives any solve, and past ~292 years the cast to the
+  /// clock's int64 nanoseconds would overflow into the past.
   void set_deadline_after(double seconds) {
+    if (!(seconds <= kMaxDeadlineSeconds)) {
+      deadline_ns_.store(kNoDeadline, std::memory_order_release);
+      return;
+    }
     set_deadline(Clock::now() +
                  std::chrono::duration_cast<Clock::duration>(
                      std::chrono::duration<double>(seconds)));
@@ -157,6 +164,7 @@ class SearchControl {
  private:
   static constexpr std::int64_t kNoDeadline =
       std::numeric_limits<std::int64_t>::min();
+  static constexpr double kMaxDeadlineSeconds = 1e9;  // ~32 years
 
   /// First writer wins; everyone afterwards sees the same reason.
   StopReason latch(StopReason reason);

@@ -7,7 +7,6 @@
 #include <memory>
 #include <optional>
 #include <ostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -50,20 +49,6 @@ std::string permutation_json(const std::vector<fsp::JobId>& perm) {
     out += std::to_string(perm[i]);
   }
   return out + "]";
-}
-
-std::vector<std::string> cli_tokens(const JsonValue& cli) {
-  std::vector<std::string> tokens;
-  if (cli.is_array()) {
-    for (const JsonValue& item : cli.as_array()) {
-      tokens.push_back(item.as_string());
-    }
-    return tokens;
-  }
-  std::istringstream stream(cli.as_string());
-  std::string token;
-  while (stream >> token) tokens.push_back(token);
-  return tokens;
 }
 
 /// Everything one accepted shard solve owns. Shared between the reader
@@ -205,11 +190,7 @@ void Worker::handle_solve(const JsonValue& request) {
   auto d = std::make_shared<Dispatch>();
   d->id = id;
   try {
-    std::vector<const char*> argv{"fsbb_worker"};
-    const std::vector<std::string> tokens = cli_tokens(*cli);
-    for (const std::string& t : tokens) argv.push_back(t.c_str());
-    d->config = api::SolverConfig::from_argv(static_cast<int>(argv.size()),
-                                             argv.data());
+    d->config = api::SolverConfig::from_cli_payload(*cli);
     std::vector<fsp::Instance> instances =
         api::make_instances(d->config.instance);
     FSBB_CHECK_MSG(instances.size() == 1,

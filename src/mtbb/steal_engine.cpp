@@ -9,7 +9,6 @@
 
 #include "common/check.h"
 #include "common/mutex.h"
-#include "common/rng.h"
 #include "common/timer.h"
 #include "core/branch_expand.h"
 #include "core/node_arena.h"
@@ -29,15 +28,11 @@ constexpr auto kNap = std::chrono::microseconds(100);
 /// Everything the workers share. The hot path (pop/push/prune) only
 /// touches the worker's own shard and two atomics; permutations live in
 /// the shared arena and never move — a steal copies 12-byte handles.
-/// PoolT is the sharded pool over either deque kind (mutexed heap deques
-/// or lock-free Chase–Lev arrays) — the search loop is byte-for-byte the
-/// same; only the shard synchronization differs.
-template <typename PoolT>
 struct Shared {
   explicit Shared(std::size_t workers, int jobs)
       : pool(workers), arena(jobs, workers + 1) {}
 
-  PoolT pool;
+  core::ShardedPoolT<NodeRef> pool;
   core::NodeArena arena;
   /// Nodes resident anywhere: in a deque or being branched. Children are
   /// counted before their parent is released, so 0 means the tree is done.
@@ -50,7 +45,6 @@ struct Shared {
   std::atomic<int> stop_latch{-1};
   std::uint64_t node_budget = 0;
   core::SearchControl* control = nullptr;  // may be null
-  core::VictimOrder victim_order = core::VictimOrder::kRoundRobin;
   std::size_t steal_batch = 1;
 
   Mutex best_mu;
@@ -71,44 +65,39 @@ struct Shared {
   std::atomic<std::size_t> ready{0};
 };
 
-template <typename PoolT>
-void request_stop(Shared<PoolT>& sh, core::StopReason reason) {
+void request_stop(Shared& sh, core::StopReason reason) {
   int expected = -1;
   sh.stop_latch.compare_exchange_strong(expected, static_cast<int>(reason),
                                         std::memory_order_acq_rel);
   sh.stop.store(true, std::memory_order_release);
 }
 
-template <typename PoolT>
-void await_gang(Shared<PoolT>& sh) {
+void await_gang(Shared& sh) {
   sh.ready.fetch_add(1, std::memory_order_acq_rel);
   while (sh.ready.load(std::memory_order_acquire) < sh.pool.shards()) {
     std::this_thread::yield();
   }
 }
 
-/// One victim-scan round. Returns a node to process (stolen batch minus
-/// one lands in the thief's own deque) or nullopt if every victim was dry.
-template <typename PoolT>
-std::optional<NodeRef> try_steal(Shared<PoolT>& sh, std::size_t id,
-                                 std::size_t& rr_cursor, SplitMix64& rng,
+/// One round-robin victim scan. Returns a node to process (stolen batch
+/// minus one lands in the thief's own deque) or nullopt if every victim
+/// was dry.
+std::optional<NodeRef> try_steal(Shared& sh, std::size_t id,
+                                 std::size_t& rr_cursor,
                                  std::vector<NodeRef>& loot,
                                  StealStats& local) {
   const std::size_t workers = sh.pool.shards();
   if (workers <= 1) return std::nullopt;
+  const auto advance = [workers](std::size_t i) {
+    return i + 1 == workers ? 0 : i + 1;
+  };
   for (std::size_t probe = 0; probe + 1 < workers; ++probe) {
-    std::size_t victim;
-    if (sh.victim_order == core::VictimOrder::kRandom) {
-      victim = static_cast<std::size_t>(rng.next_below(workers - 1));
-      if (victim >= id) ++victim;  // skip self, stay uniform
-    } else {
-      // Skip self without consuming a probe, so every scan covers all
-      // W-1 other shards (at 2 threads the single probe must always
-      // land on the other worker).
-      if (rr_cursor == id) rr_cursor = rr_cursor + 1 == workers ? 0 : rr_cursor + 1;
-      victim = rr_cursor;
-      rr_cursor = rr_cursor + 1 == workers ? 0 : rr_cursor + 1;
-    }
+    // Skip self without consuming a probe, so every scan covers all W-1
+    // other shards (at 2 threads the single probe must always land on the
+    // other worker).
+    if (rr_cursor == id) rr_cursor = advance(rr_cursor);
+    const std::size_t victim = rr_cursor;
+    rr_cursor = advance(rr_cursor);
     loot.clear();
     ++local.steal_attempts;
     if (sh.pool.shard(victim).steal(loot, sh.steal_batch) == 0) continue;
@@ -128,15 +117,14 @@ std::optional<NodeRef> try_steal(Shared<PoolT>& sh, std::size_t id,
 /// BoundContext is fsp::Lb1BoundContext or fsp::Lb2BoundContext — the
 /// search loop is byte-for-byte the same either way; only bound_child's
 /// arithmetic differs.
-template <typename PoolT, typename BoundContext>
-void worker(const fsp::Instance& inst, Shared<PoolT>& sh, std::size_t id,
+template <typename BoundContext>
+void worker(const fsp::Instance& inst, Shared& sh, std::size_t id,
             BoundContext ctx) {
   core::EngineStats local;
   StealStats local_steals;
   std::vector<NodeRef> survivors;
   std::vector<NodeRef> loot;
   std::size_t rr_cursor = (id + 1) % sh.pool.shards();
-  SplitMix64 rng(0x5163a1ULL + id);  // per-worker victim sequence
   int dry_rounds = 0;
   await_gang(sh);
 
@@ -160,7 +148,7 @@ void worker(const fsp::Instance& inst, Shared<PoolT>& sh, std::size_t id,
       }
     }
     std::optional<NodeRef> node = sh.pool.shard(id).pop();
-    if (!node) node = try_steal(sh, id, rr_cursor, rng, loot, local_steals);
+    if (!node) node = try_steal(sh, id, rr_cursor, loot, local_steals);
     if (!node) {
       // Two-phase quiescence: observing zero once is not enough in
       // general (a node could be between a pop and its children's
@@ -256,23 +244,20 @@ void worker(const fsp::Instance& inst, Shared<PoolT>& sh, std::size_t id,
   sh.steal_stats.nodes_stolen += local_steals.nodes_stolen;
 }
 
-template <typename PoolT>
-core::SolveResult run_impl(const fsp::Instance& inst,
-                           const fsp::LowerBoundData& data,
-                           const MtOptions& options,
-                           detail::SolveStart start) {
+core::SolveResult run(const fsp::Instance& inst,
+                      const fsp::LowerBoundData& data,
+                      const MtOptions& options, detail::SolveStart start) {
   FSBB_CHECK_MSG(options.threads >= 1, "need at least one worker");
   FSBB_CHECK_MSG(options.steal_batch >= 1, "steal batch must be >= 1");
   const WallTimer timer;
 
-  Shared<PoolT> sh(options.threads, inst.jobs());
+  Shared sh(options.threads, inst.jobs());
   const detail::SolveAudit audit("cpu-steal", sh.arena);
   sh.incumbent_audit = audit.incumbent();
   const std::size_t main_lane = options.threads;
   sh.ub.store(start.ub, std::memory_order_relaxed);
   sh.node_budget = options.node_budget;
   sh.control = options.control;
-  sh.victim_order = options.victim_order;
   sh.steal_batch = options.steal_batch;
   {
     // Workers have not started; the locks are uncontended and keep every
@@ -318,20 +303,6 @@ core::SolveResult run_impl(const fsp::Instance& inst,
   // Bounding dominates worker time; report it as such for the profile bench.
   result.stats.bounding_seconds = result.stats.wall_seconds;
   return result;
-}
-
-/// Dispatches on the deque kind once per solve; everything below the
-/// branch is the same templated search.
-core::SolveResult run(const fsp::Instance& inst,
-                      const fsp::LowerBoundData& data,
-                      const MtOptions& options, detail::SolveStart start) {
-  if (options.deque == core::DequeKind::kChaseLev) {
-    return run_impl<
-        core::ShardedPoolT<NodeRef, core::ChaseLevStorage<NodeRef>>>(
-        inst, data, options, std::move(start));
-  }
-  return run_impl<core::ShardedPoolT<NodeRef>>(inst, data, options,
-                                               std::move(start));
 }
 
 }  // namespace

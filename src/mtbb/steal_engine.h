@@ -3,10 +3,10 @@
 //
 // Each of the N workers owns one deque of core::ShardedPool: it pushes and
 // pops LIFO locally (depth-first dive, no contention), and when its deque
-// runs dry it steals the oldest nodes from a victim chosen per
-// MtOptions::victim_order. The incumbent is a lock-free atomic that every
-// worker prunes against; the best permutation rides behind a small mutex
-// touched only on improvement. Termination is a global in-flight node
+// runs dry it steals the oldest nodes of the other shards, visiting them
+// round-robin from a per-worker cursor. The incumbent is a lock-free
+// atomic that every worker prunes against; the best permutation rides
+// behind a small mutex touched only on improvement. Termination is a global in-flight node
 // counter (nodes resident in any deque or being branched) with a two-phase
 // quiescence check: a starving worker that observes zero re-reads after a
 // full fence before exiting, so no node can be in transit past it.

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -21,30 +20,6 @@ JsonWriter envelope(const std::string& event, const std::string& id) {
   o.str("event", event);
   o.str("id", id);
   return o;
-}
-
-/// Splits a "cli" payload (string or array of strings) into argv tokens.
-std::vector<std::string> cli_tokens(const JsonValue& cli) {
-  std::vector<std::string> tokens;
-  if (cli.is_array()) {
-    for (const JsonValue& item : cli.as_array()) {
-      tokens.push_back(item.as_string());
-    }
-    return tokens;
-  }
-  std::istringstream stream(cli.as_string());
-  std::string token;
-  while (stream >> token) tokens.push_back(token);
-  return tokens;
-}
-
-api::SolverConfig config_from_cli_tokens(
-    const std::vector<std::string>& tokens) {
-  std::vector<const char*> argv{"fsbb_serve"};
-  argv.reserve(tokens.size() + 1);
-  for (const std::string& t : tokens) argv.push_back(t.c_str());
-  return api::SolverConfig::from_argv(static_cast<int>(argv.size()),
-                                      argv.data());
 }
 
 /// Optional top-level "instance" object on submit: an explicit job-major
@@ -261,7 +236,7 @@ void Client::submit(const JsonValue& request) {
   bool quota_charged = false;
   std::string charged_tenant;
   try {
-    api::SolverConfig config = config_from_cli_tokens(cli_tokens(*cli));
+    api::SolverConfig config = api::SolverConfig::from_cli_payload(*cli);
     // Top-level request fields override the cli payload — transports that
     // stamp tenancy per connection need not rewrite the flag string.
     if (const JsonValue* t = request.find("tenant")) {

@@ -111,11 +111,8 @@ TEST(SolveReport, TextSummaryMentionsStealsOnlyWhenPresent) {
 
 TEST(SolveReport, ConfigEchoCarriesStealKnobs) {
   SolveReport r = sample_report();
-  r.config.victim_order = core::VictimOrder::kRandom;
   r.config.steal_batch = 7;
-  const std::string json = r.to_json();
-  EXPECT_NE(json.find("\"victim_order\":\"random\""), std::string::npos);
-  EXPECT_NE(json.find("\"steal_batch\":7"), std::string::npos);
+  EXPECT_NE(r.to_json().find("\"steal_batch\":7"), std::string::npos);
 }
 
 TEST(SolveReport, ConfigEchoCarriesGpuDevices) {

@@ -6,9 +6,11 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "api/solver.h"
+#include "common/json.h"
 #include "common/threadpool.h"
 #include "fsp/taillard.h"
 
@@ -87,6 +89,87 @@ TEST(SolverConfig, HelpIsNotASolveSetting) {
   // Tools print their usage for --help; a solve request carrying it (a
   // serve "cli" payload) is an error, not a default solve.
   EXPECT_THROW(SolverConfig::from_cli(parse_tokens({"--help"})), CheckFailure);
+}
+
+// Every case used to narrow silently: --jobs 4294967302 solved a 6-job
+// instance, --seed 99999999999 ran seed 1215752191, --ta -3 fell back to
+// the generator, and --ub 4294967296 / -5 answered "optimal" at makespan
+// 0 / -5 with an empty schedule.
+TEST(SolverConfig, RejectsIntegerFlagsOutsideTheirRange) {
+  struct Case {
+    std::vector<std::string> tokens;
+    std::string message;
+  };
+  const std::vector<Case> cases = {
+      {{"--jobs", "4294967302"}, "--jobs must be in [0, 2147483647]"},
+      {{"--machines", "4294967299"}, "--machines must be in [0, 2147483647]"},
+      {{"--count", "4294967297"}, "--count must be in [0, 2147483647]"},
+      {{"--seed", "99999999999"}, "--seed must be in [0, 2147483647]"},
+      {{"--ta", "-3"}, "--ta must be in [0, 2147483647]"},
+      {{"--ta", "121"}, "Taillard id must be in [0, 120]"},
+      {{"--ub", "4294967296"}, "--ub must be in [0, 2147483647]"},
+      {{"--ub", "-5"}, "--ub must be in [0, 2147483647]"},
+      {{"--block-threads", "-1"},
+       "--block-threads must be in [0, 2147483647]"},
+  };
+  for (const Case& c : cases) {
+    const std::string input = c.tokens[0] + " " + c.tokens[1];
+    try {
+      SolverConfig::from_cli(parse_tokens(c.tokens));
+      ADD_FAILURE() << input << " was accepted";
+    } catch (const CheckFailure& e) {
+      EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos)
+          << input << ": " << e.what();
+    }
+  }
+  // The ends of each range still parse.
+  const SolverConfig edge = SolverConfig::from_cli(
+      parse_tokens({"--ub", "2147483647", "--seed", "2147483646", "--ta",
+                    "120"}));
+  ASSERT_TRUE(edge.initial_ub.has_value());
+  EXPECT_EQ(*edge.initial_ub, 2147483647);
+  EXPECT_EQ(edge.instance.seed, 2147483646);
+  EXPECT_EQ(edge.instance.ta_id, 120);
+  // validate() holds programmatic configs to the same Taillard range.
+  SolverConfig negative_ta;
+  negative_ta.instance.ta_id = -1;
+  EXPECT_THROW(negative_ta.validate(), CheckFailure);
+}
+
+TEST(SolverConfig, CapsThreadsBatchWorkersAndCards) {
+  // A remote "cli" payload must not make the host start 100000 threads:
+  // each worker thread, service worker and simulated card is capped.
+  for (const std::string flag :
+       {"--threads", "--batch-workers", "--gpu-devices"}) {
+    EXPECT_THROW(SolverConfig::from_cli(parse_tokens({flag, "100000"})),
+                 CheckFailure)
+        << flag;
+    EXPECT_THROW(SolverConfig::from_cli(parse_tokens({flag, "257"})),
+                 CheckFailure)
+        << flag;
+    EXPECT_NO_THROW(SolverConfig::from_cli(parse_tokens({flag, "256"})))
+        << flag;
+  }
+  static_assert(SolverConfig::kMaxWorkers == 256);
+}
+
+TEST(SolverConfig, CliPayloadIsAStringOrAnArrayOfTokens) {
+  const SolverConfig from_string = SolverConfig::from_cli_payload(
+      JsonValue::parse(R"("--jobs 7   --backend cpu-steal")"));
+  const SolverConfig from_array = SolverConfig::from_cli_payload(
+      JsonValue::parse(R"(["--jobs", "7", "--backend", "cpu-steal"])"));
+  EXPECT_EQ(from_string, from_array);
+  EXPECT_EQ(from_string.instance.jobs, 7);
+  EXPECT_EQ(from_string.backend, "cpu-steal");
+  EXPECT_EQ(SolverConfig::from_cli_payload(JsonValue::parse(R"("")")),
+            SolverConfig());
+  EXPECT_THROW(SolverConfig::from_cli_payload(JsonValue::parse("[7]")),
+               CheckFailure);
+  EXPECT_THROW(SolverConfig::from_cli_payload(JsonValue::parse("7")),
+               CheckFailure);
+  EXPECT_THROW(SolverConfig::from_cli_payload(
+                   JsonValue::parse(R"("--threads 100000")")),
+               CheckFailure);
 }
 
 TEST(SolverConfig, MakeInstancesHonorsCountAndSeeds) {

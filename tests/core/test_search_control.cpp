@@ -51,6 +51,11 @@ TEST(SearchControl, FutureDeadlineDoesNotStopYet) {
   SearchControl control;
   control.set_deadline_after(3600.0);  // one hour: never reached in-test
   EXPECT_FALSE(control.should_stop().has_value());
+  // 1e10 s (~317 years) overflows the clock's int64 nanoseconds; it must
+  // mean "no deadline", not wrap into the past and stop at once.
+  control.set_deadline_after(1e10);
+  EXPECT_FALSE(control.has_deadline());
+  EXPECT_FALSE(control.should_stop().has_value());
 }
 
 TEST(SearchControl, FirstReasonWinsAcrossThreads) {

@@ -45,21 +45,6 @@ INSTANTIATE_TEST_SUITE_P(Sweep, StealEngineVsBruteForce,
                          ::testing::Combine(::testing::Range(0, 6),
                                             ::testing::Values(1, 2, 4, 8)));
 
-TEST(StealEngine, RandomVictimOrderProvesTheSameOptimum) {
-  const fsp::Instance inst = random_instance(9, 5, 99);
-  const auto data = fsp::LowerBoundData::build(inst);
-  const auto opt = fsp::brute_force(inst);
-  for (const std::size_t batch : {1u, 2u, 8u}) {
-    MtOptions options;
-    options.threads = 6;
-    options.victim_order = core::VictimOrder::kRandom;
-    options.steal_batch = batch;
-    const core::SolveResult result = steal_solve(inst, data, options);
-    EXPECT_TRUE(result.proven_optimal) << "batch " << batch;
-    EXPECT_EQ(result.best_makespan, opt.makespan) << "batch " << batch;
-  }
-}
-
 TEST(StealEngine, RepeatedRunsAgreeOnTheOptimum) {
   const fsp::Instance inst = random_instance(9, 5, 7);
   const auto data = fsp::LowerBoundData::build(inst);
