@@ -11,7 +11,6 @@
 #include "gpubb/autotuner.h"
 #include "gpubb/gpu_evaluator.h"
 #include "gpubb/multi_device_pool.h"
-#include "gpusim/kernel.h"
 #include "mtbb/mt_engine.h"
 #include "mtbb/steal_engine.h"
 
@@ -85,12 +84,8 @@ std::unique_ptr<core::BoundEvaluator> make_serial_evaluator(
 class EngineBackend final : public Backend {
  public:
   EngineBackend(std::string key, const BackendContext& ctx,
-                std::unique_ptr<gpusim::SimDevice> device,
                 std::unique_ptr<core::BoundEvaluator> evaluator)
-      : key_(std::move(key)),
-        ctx_(ctx),
-        device_(std::move(device)),
-        evaluator_(std::move(evaluator)) {}
+      : key_(std::move(key)), ctx_(ctx), evaluator_(std::move(evaluator)) {}
 
   std::string name() const override { return key_; }
   std::string detail() const override { return evaluator_->name(); }
@@ -128,7 +123,6 @@ class EngineBackend final : public Backend {
 
   std::string key_;
   BackendContext ctx_;
-  std::unique_ptr<gpusim::SimDevice> device_;  // referenced by evaluator_
   std::unique_ptr<core::BoundEvaluator> evaluator_;
 };
 
@@ -195,44 +189,31 @@ class StealBackend final : public Backend {
 /// resolved modes are echoed through the evaluator's name() in reports,
 /// and re-resolving the same config picks the same modes, so "auto" runs
 /// stay reproducible.
-struct GpuSetup {
-  std::vector<gpusim::DeviceSpec> specs;
-  std::vector<gpubb::GpuPoolMode> modes;
-};
-
-GpuSetup resolve_gpu_setup(const BackendContext& ctx) {
-  GpuSetup setup;
-  setup.specs = multi_device_specs(*ctx.config);
-  if (ctx.config->gpu_pool != gpubb::GpuPoolMode::kAuto) {
-    setup.modes.assign(setup.specs.size(), ctx.config->gpu_pool);
-    return setup;
+gpubb::MultiDeviceConfig multi_device_config(const BackendContext& ctx) {
+  const SolverConfig& config = *ctx.config;
+  gpubb::MultiDeviceConfig mdc;
+  mdc.specs = multi_device_specs(config);
+  mdc.policy = config.placement;
+  mdc.block_threads = config.block_threads;
+  mdc.control = ctx.control;  // cross-card incumbent broadcast target
+  if (config.gpu_pool != gpubb::GpuPoolMode::kAuto) {
+    mdc.mode = config.gpu_pool;
+    return mdc;
   }
   const bool allow_dfs =
-      ctx.config->strategy == core::SelectionStrategy::kDepthFirst;
+      config.strategy == core::SelectionStrategy::kDepthFirst;
   std::size_t dfs_votes = 0;
-  for (const gpusim::DeviceSpec& spec : setup.specs) {
+  for (const gpusim::DeviceSpec& spec : mdc.specs) {
     const gpubb::PoolModeChoice choice = gpubb::choose_pool_mode(
-        spec, *ctx.data, ctx.config->placement, allow_dfs,
-        ctx.config->block_threads);
-    setup.modes.push_back(choice.mode);
+        spec, *ctx.data, config.placement, allow_dfs, config.block_threads);
+    mdc.modes.push_back(choice.mode);
     if (choice.mode == gpubb::GpuPoolMode::kDfs) ++dfs_votes;
   }
-  if (dfs_votes != 0 && dfs_votes != setup.modes.size()) {
-    for (gpubb::GpuPoolMode& mode : setup.modes) {
+  if (dfs_votes != 0 && dfs_votes != mdc.modes.size()) {
+    for (gpubb::GpuPoolMode& mode : mdc.modes) {
       if (mode == gpubb::GpuPoolMode::kDfs) mode = gpubb::GpuPoolMode::kResident;
     }
   }
-  return setup;
-}
-
-gpubb::MultiDeviceConfig multi_device_config(const BackendContext& ctx,
-                                             GpuSetup setup) {
-  gpubb::MultiDeviceConfig mdc;
-  mdc.specs = std::move(setup.specs);
-  mdc.modes = std::move(setup.modes);
-  mdc.policy = ctx.config->placement;
-  mdc.block_threads = ctx.config->block_threads;
-  mdc.control = ctx.control;  // cross-card incumbent broadcast target
   return mdc;
 }
 
@@ -245,7 +226,7 @@ void register_builtins(BackendRegistry& r) {
   r.add("cpu-serial",
         "serial host bounding (lb0/lb1/lb2 per --bound); the reference",
         [](const BackendContext& ctx) -> std::unique_ptr<Backend> {
-          return std::make_unique<EngineBackend>("cpu-serial", ctx, nullptr,
+          return std::make_unique<EngineBackend>("cpu-serial", ctx,
                                                  make_serial_evaluator(ctx));
         });
   r.add("callback",
@@ -276,7 +257,7 @@ void register_builtins(BackendRegistry& r) {
           } else {
             eval = make_serial_evaluator(ctx);
           }
-          return std::make_unique<EngineBackend>("callback", ctx, nullptr,
+          return std::make_unique<EngineBackend>("callback", ctx,
                                                  std::move(eval));
         });
   r.add("cpu-threads",
@@ -292,7 +273,7 @@ void register_builtins(BackendRegistry& r) {
                         ctx.config->threads)
                   : std::make_unique<core::ThreadedCpuEvaluator>(
                         *ctx.instance, *ctx.data, ctx.config->threads);
-          return std::make_unique<EngineBackend>("cpu-threads", ctx, nullptr,
+          return std::make_unique<EngineBackend>("cpu-threads", ctx,
                                                  std::move(eval));
         });
   r.add("gpu-sim",
@@ -301,23 +282,10 @@ void register_builtins(BackendRegistry& r) {
         "(incl. auto) apply",
         [](const BackendContext& ctx) -> std::unique_ptr<Backend> {
           require_bound(ctx, "gpu-sim", {Bound::kLb1});
-          GpuSetup setup = resolve_gpu_setup(ctx);
-          if (setup.specs.size() == 1) {
-            auto device =
-                std::make_unique<gpusim::SimDevice>(setup.specs.front());
-            auto eval = std::make_unique<gpubb::GpuBoundEvaluator>(
-                *device, *ctx.instance, *ctx.data, ctx.config->placement,
-                ctx.config->block_threads,
-                gpusim::GpuCalibration::fermi_defaults(),
-                setup.modes.front());
-            return std::make_unique<EngineBackend>(
-                "gpu-sim", ctx, std::move(device), std::move(eval));
-          }
-          auto eval = std::make_unique<gpubb::MultiDevicePool>(
-              *ctx.instance, *ctx.data,
-              multi_device_config(ctx, std::move(setup)));
-          return std::make_unique<EngineBackend>("gpu-sim", ctx, nullptr,
-                                                 std::move(eval));
+          return std::make_unique<EngineBackend>(
+              "gpu-sim", ctx,
+              std::make_unique<gpubb::MultiDevicePool>(
+                  *ctx.instance, *ctx.data, multi_device_config(ctx)));
         });
   r.add("adaptive",
         "concurrent host threads + simulated GPU(s) split at the modeled "
@@ -325,22 +293,11 @@ void register_builtins(BackendRegistry& r) {
         "apply",
         [](const BackendContext& ctx) -> std::unique_ptr<Backend> {
           require_bound(ctx, "adaptive", {Bound::kLb1});
-          GpuSetup setup = resolve_gpu_setup(ctx);
-          if (setup.specs.size() == 1) {
-            auto device =
-                std::make_unique<gpusim::SimDevice>(setup.specs.front());
-            auto eval = std::make_unique<gpubb::AdaptiveEvaluator>(
-                *device, *ctx.instance, *ctx.data, ctx.config->placement,
-                ctx.config->threads, /*threshold=*/0, setup.modes.front());
-            return std::make_unique<EngineBackend>(
-                "adaptive", ctx, std::move(device), std::move(eval));
-          }
-          auto eval = std::make_unique<gpubb::AdaptiveEvaluator>(
-              *ctx.instance, *ctx.data,
-              multi_device_config(ctx, std::move(setup)),
-              ctx.config->threads, /*threshold=*/0);
-          return std::make_unique<EngineBackend>("adaptive", ctx, nullptr,
-                                                 std::move(eval));
+          return std::make_unique<EngineBackend>(
+              "adaptive", ctx,
+              std::make_unique<gpubb::AdaptiveEvaluator>(
+                  *ctx.instance, *ctx.data, multi_device_config(ctx),
+                  ctx.config->threads));
         });
   r.add("multicore",
         "shared-pool Pthread-style B&B over --threads workers (§V "

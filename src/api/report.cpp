@@ -103,12 +103,20 @@ std::string SolveReport::to_json() const {
   return o.done();
 }
 
+void SolveReport::set_proven(bool exhausted) {
+  proven_optimal = exhausted && !(best_permutation.empty() &&
+                                  config.initial_ub == best_makespan);
+}
+
 void SolveReport::print_text(std::ostream& os) const {
   os << instance_name << " (" << jobs << "x" << machines << ") via " << backend;
   if (!evaluator.empty()) os << " [" << evaluator << "]";
   os << "\n  makespan " << best_makespan;
   if (proven_optimal) {
     os << " (proven optimal)";
+  } else if (stop_reason == core::StopReason::kOptimal) {
+    os << " (not proven: nothing beats it, but no schedule for it was "
+          "found)";
   } else {
     os << " (not proven; stopped: " << core::to_string(stop_reason) << ")";
   }

@@ -50,6 +50,13 @@ struct SolveReport {
   /// that ran resident offload iterations (gpu-sim/adaptive).
   std::optional<core::ResidentPoolStats> pool;
 
+  /// Sets proven_optimal for a search that did or did not exhaust its
+  /// space; call it once config and the result are filled in. Exhaustion
+  /// proves only that nothing beats the search's bound, so a makespan
+  /// that is just config.initial_ub, never beaten and with no schedule,
+  /// proves nothing: it may lie below the optimum.
+  void set_proven(bool exhausted);
+
   /// Single-line-per-field JSON object, deterministic key order.
   std::string to_json() const;
 

@@ -18,11 +18,8 @@ Workload make_class_workload(int jobs, int machines,
 
 Workload make_workload(const InstanceSpec& spec, std::size_t freeze_target,
                        std::optional<fsp::Time> initial_ub) {
-  std::vector<fsp::Instance> instances = make_instances(spec);
-  FSBB_CHECK_MSG(instances.size() == 1,
-                 "a workload freezes exactly one instance (count must be 1)");
   Workload w;
-  w.instance = std::make_unique<fsp::Instance>(std::move(instances.front()));
+  w.instance = std::make_unique<fsp::Instance>(make_one_instance(spec));
   w.data = std::make_unique<fsp::LowerBoundData>(
       fsp::LowerBoundData::build(*w.instance));
   w.frozen = core::freeze_pool(*w.instance, *w.data, freeze_target, initial_ub);

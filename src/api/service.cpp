@@ -61,7 +61,7 @@ SolveReport execute_solve(const fsp::Instance& inst,
   report.evaluator = backend->detail();
   report.best_makespan = result.best_makespan;
   report.best_permutation = result.best_permutation;
-  report.proven_optimal = result.proven_optimal;
+  report.set_proven(result.proven_optimal);
   report.stop_reason = result.stop_reason;
   report.stats = result.stats;
   report.steal = result.steal;

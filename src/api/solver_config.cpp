@@ -69,6 +69,13 @@ std::vector<fsp::Instance> make_instances(const InstanceSpec& spec) {
   return out;
 }
 
+fsp::Instance make_one_instance(const InstanceSpec& spec) {
+  FSBB_CHECK_MSG(spec.ta_id > 0 || spec.count == 1,
+                 "one instance per solve (--count 1), got --count " +
+                     std::to_string(spec.count));
+  return std::move(make_instances(spec).front());
+}
+
 namespace {
 
 // Integer flag narrowed to T after a check against [0, max of T]: a raw
@@ -220,8 +227,11 @@ void SolverConfig::validate() const {
   FSBB_CHECK_MSG(instance.ta_id >= 0 && instance.ta_id <= 120,
                  "Taillard id must be in [0, 120] (0 = generated instance)");
   if (instance.ta_id == 0) {
-    FSBB_CHECK_MSG(instance.jobs >= 1 && instance.machines >= 1,
-                   "instance dimensions must be >= 1");
+    FSBB_CHECK_MSG(instance.jobs >= 1 && instance.jobs <= kMaxJobs,
+                   "--jobs must be in [1, " + std::to_string(kMaxJobs) + "]");
+    FSBB_CHECK_MSG(
+        instance.machines >= 1 && instance.machines <= kMaxMachines,
+        "--machines must be in [1, " + std::to_string(kMaxMachines) + "]");
     FSBB_CHECK_MSG(instance.count >= 1, "instance count must be >= 1");
   }
 }

@@ -54,6 +54,11 @@ struct InstanceSpec {
 /// Materializes the spec (count instances; ta_id implies count == 1).
 std::vector<fsp::Instance> make_instances(const InstanceSpec& spec);
 
+/// The spec's one instance, for front ends that solve one instance per
+/// request (serve submits, dist shards, the coordinator, frozen
+/// workloads). Rejects count != 1 before generating anything.
+fsp::Instance make_one_instance(const InstanceSpec& spec);
+
 /// Full description of one solve. Defaults are deterministic: nothing in
 /// here (and nothing derived from it, e.g. evaluator names) depends on the
 /// machine's detected hardware concurrency.
@@ -62,6 +67,11 @@ struct SolverConfig {
   /// for. A fixed cap, not a flag: a remote "cli" payload must not be able
   /// to make the host start 100000 threads.
   static constexpr std::size_t kMaxWorkers = 256;
+  /// Largest generated instance: Taillard's biggest class is 500x20 and
+  /// VRF's 800x60. The processing-time matrix is allocated as soon as the
+  /// instance is generated, so the caps come before it.
+  static constexpr int kMaxJobs = 1000;
+  static constexpr int kMaxMachines = 100;
 
   /// Backend registry key: cpu-serial, cpu-threads, callback, gpu-sim,
   /// adaptive, multicore (api/backend_registry.h has the authoritative list).
@@ -89,7 +99,7 @@ struct SolverConfig {
   /// Simulated device COUNT for gpu-sim/adaptive: "N" shards the pool
   /// over N cards of `device`'s spec, "N:key,key,..." names each card's
   /// spec explicitly (heterogeneous mixes allowed, count must match).
-  /// "1" keeps the single-device evaluator.
+  /// "1" is a one-card pool, which is its card.
   std::string gpu_devices = "1";
   /// Starting incumbent; NEH if unset.
   std::optional<fsp::Time> initial_ub;
@@ -138,8 +148,9 @@ struct SolverConfig {
   std::vector<std::string> to_cli() const;
 
   /// Checks enum-free fields (device key, thread counts capped at
-  /// kMaxWorkers, Taillard id in [0, 120]); backend existence is checked
-  /// by the registry at Solver construction.
+  /// kMaxWorkers, Taillard id in [0, 120], generated sizes capped at
+  /// kMaxJobs x kMaxMachines); backend existence is checked by the
+  /// registry at Solver construction.
   void validate() const;
 };
 
@@ -148,8 +159,7 @@ gpusim::DeviceSpec device_spec_for(const SolverConfig& config);
 
 /// Resolves config.gpu_devices into one spec per simulated card: "N" is N
 /// copies of config.device's spec, "N:key,key" the named specs (the count
-/// must equal N). Throws CheckFailure on malformed values. Size 1 means
-/// the single-device evaluator path.
+/// must equal N). Throws CheckFailure on malformed values.
 std::vector<gpusim::DeviceSpec> multi_device_specs(const SolverConfig& config);
 
 }  // namespace fsbb::api

@@ -8,16 +8,12 @@
 // per-worker-pool design Gmys (2020) and Chakroun & Melab (2012) show is
 // what lets exact flow-shop B&B scale past the shared-pool ceiling.
 //
-// The deque is generic over its node type AND its storage. The steal
-// engine instantiates it over 12-byte NodeRef handles in unbounded heap
-// storage; the simulated GPU instantiates the same shard structure over
-// bounded rings living in externally owned fixed-stride memory (a
-// DeviceBuffer span) — one ShardedPool abstraction spanning the host
-// workers and the per-SM device-resident pools. Each shard sits behind
-// its own mutex: a critical section is a few-word move (handle entries)
-// and a proof steals rarely (tens of successful steals, moving ~1% of its
-// branched nodes), so the owner's lock is almost never contended and a
-// lock-free (Chase–Lev) deque measured no faster.
+// The deque is generic over its node type; the steal engine instantiates
+// it over 12-byte NodeRef handles. Each shard sits behind its own mutex:
+// a critical section is a few-word move (handle entries) and a proof
+// steals rarely (tens of successful steals, moving ~1% of its branched
+// nodes), so the owner's lock is almost never contended and a lock-free
+// (Chase–Lev) deque measured no faster.
 //
 // drain() is deterministic given the deque contents (shard 0..W-1, each
 // front to back), so the frozen-pool protocol keeps working on top.
@@ -25,9 +21,9 @@
 
 #include <cstddef>
 #include <deque>
+#include <iterator>
 #include <memory>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -38,114 +34,25 @@
 
 namespace fsbb::core {
 
-/// Unbounded heap-backed deque storage — the host engines' default. Push
-/// can never fail; capacity() is "infinite".
-template <typename Node>
-class HeapDequeStorage {
- public:
-  bool full() const { return false; }
-  std::size_t size() const { return items_.size(); }
-  std::size_t capacity() const { return static_cast<std::size_t>(-1); }
-  bool empty() const { return items_.empty(); }
-
-  bool push_back(Node&& n) {
-    items_.push_back(std::move(n));
-    return true;
-  }
-  Node pop_back() {
-    Node n = std::move(items_.back());
-    items_.pop_back();
-    return n;
-  }
-  Node pop_front() {
-    Node n = std::move(items_.front());
-    items_.pop_front();
-    return n;
-  }
-  /// Front-to-back element i (drain order).
-  Node& at(std::size_t i) { return items_[i]; }
-  void clear() { items_.clear(); }
-
- private:
-  std::deque<Node> items_;
-};
-
-/// Bounded ring deque over externally owned fixed-stride storage: an arena
-/// chunk, a device buffer span — any contiguous slab of Node slots whose
-/// lifetime outlives the ring. The ring never allocates; push_back fails
-/// (returns false) when the slab is full, which is the signal the owner
-/// uses to spill to a sibling shard or back to the host.
-template <typename Node>
-class FixedRingStorage {
- public:
-  FixedRingStorage() = default;
-  explicit FixedRingStorage(std::span<Node> slots) : slots_(slots) {}
-
-  bool full() const { return count_ == slots_.size(); }
-  std::size_t size() const { return count_; }
-  std::size_t capacity() const { return slots_.size(); }
-  bool empty() const { return count_ == 0; }
-
-  bool push_back(Node&& n) {
-    if (count_ == slots_.size()) return false;
-    slots_[index(count_)] = std::move(n);
-    ++count_;
-    return true;
-  }
-  Node pop_back() {
-    FSBB_ASSERT(count_ > 0);
-    --count_;
-    return std::move(slots_[index(count_)]);
-  }
-  Node pop_front() {
-    FSBB_ASSERT(count_ > 0);
-    Node n = std::move(slots_[head_]);
-    head_ = head_ + 1 == slots_.size() ? 0 : head_ + 1;
-    --count_;
-    return n;
-  }
-  Node& at(std::size_t i) {
-    FSBB_ASSERT(i < count_);
-    return slots_[index(i)];
-  }
-  void clear() {
-    head_ = 0;
-    count_ = 0;
-  }
-
- private:
-  std::size_t index(std::size_t i) const {
-    const std::size_t raw = head_ + i;
-    return raw >= slots_.size() ? raw - slots_.size() : raw;
-  }
-
-  std::span<Node> slots_;
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
-};
-
 /// One worker's local pool. Owner operations (push/pop) hit the back;
 /// steals take the oldest nodes from the front. All operations are
 /// thread-safe; the owner's lock is uncontended unless a thief is present.
-template <typename Node, typename Storage = HeapDequeStorage<Node>>
+template <typename Node>
 class WorkStealingDequeT {
  public:
-  WorkStealingDequeT() = default;
-  /// Shard over externally owned storage (bounded rings and the like).
-  explicit WorkStealingDequeT(Storage storage) : items_(std::move(storage)) {}
-
-  /// Owner: push a node on the back (LIFO hot end). Returns false when a
-  /// bounded storage is full (unbounded storages always succeed).
-  bool push(Node&& sp) {
+  /// Owner: push a node on the back (LIFO hot end).
+  void push(Node&& sp) {
     const LockGuard lock(mu_);
-    return items_.push_back(std::move(sp));
+    items_.push_back(std::move(sp));
   }
 
   /// Owner: pop the most recently pushed node; nullopt when empty.
   std::optional<Node> pop() {
     const LockGuard lock(mu_);
     if (items_.empty()) return std::nullopt;
-    return items_.pop_back();
+    Node n = std::move(items_.back());
+    items_.pop_back();
+    return n;
   }
 
   /// Thief: move up to `max_nodes` of the *oldest* nodes into `out`.
@@ -154,7 +61,8 @@ class WorkStealingDequeT {
     const LockGuard lock(mu_);
     std::size_t taken = 0;
     while (taken < max_nodes && !items_.empty()) {
-      out.push_back(items_.pop_front());
+      out.push_back(std::move(items_.front()));
+      items_.pop_front();
       ++taken;
     }
     return taken;
@@ -165,53 +73,34 @@ class WorkStealingDequeT {
     return items_.size();
   }
   bool empty() const { return size() == 0; }
-  /// Slots this shard can hold (bounded storages; "infinite" otherwise).
-  std::size_t capacity() const {
-    const LockGuard lock(mu_);
-    return items_.capacity();
-  }
 
   /// Removes every node front-to-back (deterministic given the contents).
   std::vector<Node> drain() {
     const LockGuard lock(mu_);
-    std::vector<Node> out;
-    out.reserve(items_.size());
-    for (std::size_t i = 0; i < items_.size(); ++i) {
-      out.push_back(std::move(items_.at(i)));
-    }
+    std::vector<Node> out(std::make_move_iterator(items_.begin()),
+                          std::make_move_iterator(items_.end()));
     items_.clear();
     return out;
   }
 
  private:
   mutable Mutex mu_;
-  Storage items_ FSBB_GUARDED_BY(mu_);
+  std::deque<Node> items_ FSBB_GUARDED_BY(mu_);
 };
 
 /// A fixed set of per-worker deques plus the cross-shard operations the
-/// steal engine, the frozen-pool protocol and the device-resident pools
-/// need. Shard addresses are stable for the pool's lifetime.
-template <typename Node, typename Storage = HeapDequeStorage<Node>>
+/// steal engine and the frozen-pool protocol need. Shard addresses are
+/// stable for the pool's lifetime.
+template <typename Node>
 class ShardedPoolT {
  public:
-  using Deque = WorkStealingDequeT<Node, Storage>;
+  using Deque = WorkStealingDequeT<Node>;
 
-  /// `shards` default-constructed shards (heap storage: the host form).
   explicit ShardedPoolT(std::size_t shards) {
     FSBB_CHECK_MSG(shards >= 1, "sharded pool needs at least one shard");
     shards_.reserve(shards);
     for (std::size_t i = 0; i < shards; ++i) {
       shards_.push_back(std::make_unique<Deque>());
-    }
-  }
-
-  /// One shard per storage, each living over externally owned memory (an
-  /// arena chunk, a device-buffer span). The pool does not own the slabs.
-  explicit ShardedPoolT(std::vector<Storage> storages) {
-    FSBB_CHECK_MSG(!storages.empty(), "sharded pool needs at least one shard");
-    shards_.reserve(storages.size());
-    for (Storage& s : storages) {
-      shards_.push_back(std::make_unique<Deque>(std::move(s)));
     }
   }
 
@@ -221,16 +110,9 @@ class ShardedPoolT {
 
   /// Round-robin an initial node list across the shards (node i goes to
   /// shard i % W) so every worker starts with a slice of the frozen pool.
-  /// On bounded storages a full home shard spills to the next shard with
-  /// room; a completely full pool is an error, never a silent drop.
   void distribute(std::vector<Node> nodes) {
     for (std::size_t i = 0; i < nodes.size(); ++i) {
-      bool placed = false;
-      for (std::size_t probe = 0; probe < shards_.size() && !placed; ++probe) {
-        placed = shards_[(i + probe) % shards_.size()]->push(
-            std::move(nodes[i]));
-      }
-      FSBB_CHECK_MSG(placed, "sharded pool is full; node not distributable");
+      shards_[i % shards_.size()]->push(std::move(nodes[i]));
     }
   }
 

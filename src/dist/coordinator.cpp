@@ -388,7 +388,7 @@ api::SolveReport Coordinator::make_report(double wall_seconds) const {
   report.backend = "dist:" + config_.backend;
   report.best_makespan = bus_.best();
   report.best_permutation = bus_.best_permutation();
-  report.proven_optimal = proven_;
+  report.set_proven(proven_);
   report.stop_reason = stop_reason_;
   report.stats = stats_;
   report.stats.wall_seconds = wall_seconds;

@@ -191,12 +191,7 @@ void Worker::handle_solve(const JsonValue& request) {
   d->id = id;
   try {
     d->config = api::SolverConfig::from_cli_payload(*cli);
-    std::vector<fsp::Instance> instances =
-        api::make_instances(d->config.instance);
-    FSBB_CHECK_MSG(instances.size() == 1,
-                   "a shard solve takes exactly one instance (got --count " +
-                       std::to_string(instances.size()) + ")");
-    d->instance.emplace(std::move(instances.front()));
+    d->instance.emplace(api::make_one_instance(d->config.instance));
     d->pool = core::read_frozen_pool_string(pool_text->as_string(),
                                             "solve request \"pool\"");
     FSBB_CHECK_MSG(d->pool.nodes.front().jobs() == d->instance->jobs(),

@@ -81,63 +81,29 @@ double derive_host_share(const gpusim::SimDevice& device,
 
 }  // namespace
 
-AdaptiveEvaluator::AdaptiveEvaluator(gpusim::SimDevice& device,
-                                     const fsp::Instance& inst,
-                                     const fsp::LowerBoundData& data,
-                                     PlacementPolicy policy,
-                                     std::size_t cpu_threads,
-                                     std::size_t threshold, GpuPoolMode mode)
-    : cpu_(inst, data, cpu_threads),
-      single_(std::make_unique<GpuBoundEvaluator>(
-          device, inst, data, policy, /*block_threads=*/0,
-          gpusim::GpuCalibration::fermi_defaults(), mode)),
-      threshold_(threshold != 0
-                     ? threshold
-                     : derive_threshold(device, data, *single_,
-                                        cpu_.threads())),
-      host_share_(
-          derive_host_share(device, data, *single_, cpu_.threads(), 1)) {}
-
 AdaptiveEvaluator::AdaptiveEvaluator(const fsp::Instance& inst,
                                      const fsp::LowerBoundData& data,
                                      MultiDeviceConfig config,
                                      std::size_t cpu_threads,
                                      std::size_t threshold)
     : cpu_(inst, data, cpu_threads),
-      multi_(std::make_unique<MultiDevicePool>(inst, data, std::move(config))),
+      device_(inst, data, std::move(config)),
       threshold_(threshold != 0
                      ? threshold
-                     : derive_threshold(multi_->device(0), data,
-                                        multi_->lane(0), cpu_.threads())),
-      host_share_(derive_host_share(multi_->device(0), data, multi_->lane(0),
-                                    cpu_.threads(), multi_->device_count())) {}
-
-core::BoundEvaluator& AdaptiveEvaluator::device_eval() {
-  return single_ ? static_cast<core::BoundEvaluator&>(*single_) : *multi_;
-}
-
-const core::BoundEvaluator& AdaptiveEvaluator::device_eval() const {
-  return single_ ? static_cast<const core::BoundEvaluator&>(*single_)
-                 : *multi_;
-}
-
-core::ResidentPool* AdaptiveEvaluator::device_resident() {
-  return device_eval().resident_pool();
-}
-
-const GpuBoundEvaluator& AdaptiveEvaluator::gpu() const {
-  return single_ ? *single_ : multi_->lane(0);
-}
+                     : derive_threshold(device_.device(0), data,
+                                        device_.lane(0), cpu_.threads())),
+      host_share_(derive_host_share(device_.device(0), data, device_.lane(0),
+                                    cpu_.threads(), device_.device_count())) {}
 
 std::string AdaptiveEvaluator::name() const {
-  return "adaptive[" + cpu_.name() + "|" + device_eval().name() + "@" +
+  return "adaptive[" + cpu_.name() + "|" + device_.name() + "@" +
          std::to_string(threshold_) + "]";
 }
 
 void AdaptiveEvaluator::evaluate(std::span<core::Subproblem> batch) {
   const WallTimer timer;
   if (batch.size() >= threshold_) {
-    device_eval().evaluate(batch);
+    device_.evaluate(batch);
     ++gpu_batches_;
   } else {
     cpu_.evaluate(batch);
@@ -174,7 +140,7 @@ void AdaptiveEvaluator::iterate(fsp::Time ub,
 
     if (!device_part.empty()) {
       std::thread device_thread(
-          [&] { device_resident()->iterate(ub, device_part); });
+          [&] { device_.resident_pool()->iterate(ub, device_part); });
       if (!host.empty()) cpu_.evaluate_siblings(host);
       device_thread.join();
       ++gpu_batches_;
@@ -196,11 +162,11 @@ void AdaptiveEvaluator::iterate(fsp::Time ub,
 }
 
 void AdaptiveEvaluator::release(std::uint32_t ticket) {
-  device_resident()->release(ticket);
+  device_.resident_pool()->release(ticket);
 }
 
 core::ResidentPoolStats AdaptiveEvaluator::shard_stats() const {
-  return single_ ? single_->shard_stats() : multi_->shard_stats();
+  return device_.shard_stats();
 }
 
 }  // namespace fsbb::gpubb

@@ -7,17 +7,16 @@
 // amortize the offload overheads and runs entirely on host threads (the
 // children stay non-resident and re-enter the device later as refills —
 // the seam's graceful degradation). At or above it the iteration is SPLIT:
-// the device side (one GpuBoundEvaluator, or a MultiDevicePool spanning
-// several cards) takes the leading groups, the host sibling-seam workers
-// take a trailing slice sized by the modeled CPU/GPU throughput ratio, and
-// both drain the engine's one NodeArena simultaneously — the device on a
-// worker thread, the host threads on the calling thread. The bounds are
-// bit-identical either way (a tested invariant), so the engine's counters
-// and incumbent stream never see the split.
+// the device side (a MultiDevicePool: one card, or several) takes the
+// leading groups, the host sibling-seam workers take a trailing slice
+// sized by the modeled CPU/GPU throughput ratio, and both drain the
+// engine's one NodeArena simultaneously — the device on a worker thread,
+// the host threads on the calling thread. The bounds are bit-identical
+// either way (a tested invariant), so the engine's counters and incumbent
+// stream never see the split.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 
 #include "core/evaluator.h"
 #include "gpubb/gpu_evaluator.h"
@@ -30,32 +29,24 @@ namespace fsbb::gpubb {
 class AdaptiveEvaluator final : public core::BoundEvaluator,
                                 public core::ResidentPool {
  public:
-  /// Single-device form. threshold == 0 derives the break-even batch size
-  /// from the offload model at construction time (one sampled kernel run
-  /// is NOT needed — the threshold uses the static Table I work estimate,
-  /// which is exact for the root and conservative below).
-  AdaptiveEvaluator(gpusim::SimDevice& device, const fsp::Instance& inst,
-                    const fsp::LowerBoundData& data, PlacementPolicy policy,
-                    std::size_t cpu_threads = 0, std::size_t threshold = 0,
-                    GpuPoolMode mode = GpuPoolMode::kResident);
-
-  /// Multi-device form: the device side is a MultiDevicePool over
-  /// `config.specs` (heterogeneous mixes allowed). The break-even
-  /// threshold is derived against lane 0 — conservative for faster
-  /// sibling cards, exact for homogeneous ones.
+  /// The device side is a MultiDevicePool over `config.specs`
+  /// (heterogeneous mixes allowed; one card is its own pool).
+  /// threshold == 0 derives the break-even batch size from the offload
+  /// model at construction time, against card 0: no sampled kernel run
+  /// is needed, because the threshold uses the static Table I work
+  /// estimate, which is exact for the root and conservative below (and
+  /// for faster sibling cards).
   AdaptiveEvaluator(const fsp::Instance& inst, const fsp::LowerBoundData& data,
                     MultiDeviceConfig config, std::size_t cpu_threads = 0,
                     std::size_t threshold = 0);
 
   void evaluate(std::span<core::Subproblem> batch) override;
   core::ResidentPool* resident_pool() override {
-    return device_resident() != nullptr ? this : nullptr;
+    return device_.resident_pool() != nullptr ? this : nullptr;
   }
   /// DFS mode is all-device (whole subtrees never surface per level, so
   /// there is no per-batch routing decision to make): delegate wholesale.
-  core::SubtreeDfs* subtree_dfs() override {
-    return device_eval().subtree_dfs();
-  }
+  core::SubtreeDfs* subtree_dfs() override { return device_.subtree_dfs(); }
   std::string name() const override;
   const core::EvalLedger& ledger() const override { return ledger_; }
 
@@ -70,19 +61,12 @@ class AdaptiveEvaluator final : public core::BoundEvaluator,
   double host_share() const { return host_share_; }
   std::uint64_t cpu_batches() const { return cpu_batches_; }
   std::uint64_t gpu_batches() const { return gpu_batches_; }
-  /// Lane 0 on a multi-device pool.
-  const GpuBoundEvaluator& gpu() const;
-  /// The multi-device pool (null in the single-device form).
-  const MultiDevicePool* multi() const { return multi_.get(); }
+  /// Card 0 of the device pool.
+  const GpuBoundEvaluator& gpu() const { return device_.lane(0); }
 
  private:
-  core::BoundEvaluator& device_eval();
-  const core::BoundEvaluator& device_eval() const;
-  core::ResidentPool* device_resident();
-
   core::ThreadedCpuEvaluator cpu_;
-  std::unique_ptr<GpuBoundEvaluator> single_;  ///< exactly one of these
-  std::unique_ptr<MultiDevicePool> multi_;     ///< two is engaged
+  MultiDevicePool device_;
   std::size_t threshold_;
   double host_share_ = 0;
   std::uint64_t cpu_batches_ = 0;

@@ -62,15 +62,33 @@ MultiDevicePool::MultiDevicePool(const fsp::Instance& inst,
 
 MultiDevicePool::~MultiDevicePool() = default;
 
+GpuBoundEvaluator* MultiDevicePool::solo() const {
+  return lanes_.size() == 1 ? lanes_.front().get() : nullptr;
+}
+
 core::ResidentPool* MultiDevicePool::resident_pool() {
+  if (GpuBoundEvaluator* card = solo()) return card->resident_pool();
   return any_resident_ ? this : nullptr;
 }
 
 core::SubtreeDfs* MultiDevicePool::subtree_dfs() {
+  if (GpuBoundEvaluator* card = solo()) return card->subtree_dfs();
   return all_dfs_ ? this : nullptr;
 }
 
+const core::EvalLedger& MultiDevicePool::ledger() const {
+  const GpuBoundEvaluator* card = solo();
+  return card != nullptr ? card->ledger() : ledger_;
+}
+
+double MultiDevicePool::modeled_wall_seconds() const {
+  const GpuBoundEvaluator* card = solo();
+  return card != nullptr ? card->gpu_ledger().modeled_seconds()
+                         : modeled_wall_seconds_;
+}
+
 std::string MultiDevicePool::name() const {
+  if (const GpuBoundEvaluator* card = solo()) return card->name();
   std::string modes;
   for (std::size_t d = 0; d < lane_modes_.size(); ++d) {
     if (d > 0) modes += ",";
@@ -131,6 +149,10 @@ void MultiDevicePool::broadcast_incumbent(fsp::Time ub) {
 }
 
 void MultiDevicePool::evaluate(std::span<core::Subproblem> batch) {
+  if (GpuBoundEvaluator* card = solo()) {
+    card->evaluate(batch);
+    return;
+  }
   if (batch.empty()) return;
   const WallTimer timer;
   const std::vector<double> before = lane_seconds();

@@ -35,6 +35,12 @@
 // the participating lanes' per-call deltas (the BENCH_core.json
 // gpu_multidevice_scaling headline), while the combined ledger sums every
 // lane for totals.
+//
+// One card is its own pool: with a single lane, evaluate(),
+// resident_pool(), subtree_dfs(), name(), ledger() and
+// modeled_wall_seconds() are the card's own, so a one-card solve runs the
+// bare GpuBoundEvaluator — no ticket table, no incumbent broadcast to
+// itself. That is how gpu-sim and adaptive build every card count.
 #pragma once
 
 #include <cstdint>
@@ -95,7 +101,7 @@ class MultiDevicePool final : public core::BoundEvaluator,
   core::ResidentPool* resident_pool() override;
   core::SubtreeDfs* subtree_dfs() override;
   std::string name() const override;
-  const core::EvalLedger& ledger() const override { return ledger_; }
+  const core::EvalLedger& ledger() const override;
 
   // --- core::ResidentPool ------------------------------------------------
   void iterate(fsp::Time ub, std::span<core::ResidentGroup> groups) override;
@@ -115,8 +121,9 @@ class MultiDevicePool final : public core::BoundEvaluator,
   GpuBoundEvaluator& lane_mut(std::size_t d) { return *lanes_[d]; }
   const gpusim::SimDevice& device(std::size_t d) const { return *devices_[d]; }
   /// Combined per-call-max modeled wall seconds: the cards run
-  /// concurrently, so this is what a wall clock would see.
-  double modeled_wall_seconds() const { return modeled_wall_seconds_; }
+  /// concurrently, so this is what a wall clock would see. One card
+  /// reports its own ledger's modeled seconds.
+  double modeled_wall_seconds() const;
   /// Sum of every lane's ledger (totals, not wall-clock).
   GpuLedger combined_gpu_ledger() const;
   /// Payloads moved card-to-card so far.
@@ -131,6 +138,9 @@ class MultiDevicePool final : public core::BoundEvaluator,
     std::uint32_t next_free = kNullTicket;
   };
 
+  /// The card of a one-card pool, which stands in for the pool on every
+  /// seam; null with two or more cards.
+  GpuBoundEvaluator* solo() const;
   std::uint32_t issue(std::uint32_t device, std::uint32_t inner);
   /// Moves up to rebalance_batch payloads from the busiest resident lane
   /// to the hungriest once the live gap crosses rebalance_min_gap.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "common/check.h"
 
@@ -17,17 +18,6 @@ constexpr std::size_t kDefaultSlotsPerShard = 4096;
 
 /// Fraction of device memory the resident pool may claim.
 constexpr std::size_t kMemoryDivisor = 4;
-
-std::vector<core::FixedRingStorage<std::uint32_t>> make_free_rings(
-    std::span<std::uint32_t> storage, int shards, std::size_t per_shard) {
-  std::vector<core::FixedRingStorage<std::uint32_t>> rings;
-  rings.reserve(static_cast<std::size_t>(shards));
-  for (int s = 0; s < shards; ++s) {
-    rings.emplace_back(storage.subspan(
-        static_cast<std::size_t>(s) * per_shard, per_shard));
-  }
-  return rings;
-}
 
 }  // namespace
 
@@ -72,23 +62,14 @@ DeviceResidentPool::DeviceResidentPool(gpusim::SimDevice& device,
       lbs_(device.alloc<std::int32_t>(capacity_, gpusim::MemSpace::kGlobal)),
       free_storage_(device.alloc<std::uint32_t>(capacity_,
                                                 gpusim::MemSpace::kGlobal)),
-      free_(make_free_rings(
-          free_storage_.host_span(),
-          config.shards > 0 ? config.shards : device.spec().sm_count,
-          slots_per_shard_)) {
+      free_count_(capacity_ / slots_per_shard_, slots_per_shard_) {
   FSBB_CHECK_MSG(data.jobs() <= 255, "resident pool packs permutations as u8");
-  const auto shards = static_cast<int>(free_.shards());
-  shard_stats_.resize(static_cast<std::size_t>(shards));
-  // Seed every shard's free deque with its own slot range, oldest-first:
-  // pop() (the hot end) reuses the most recently released slot, steal()
-  // lends the coldest.
-  for (int s = 0; s < shards; ++s) {
-    const auto base = static_cast<std::uint32_t>(
-        static_cast<std::size_t>(s) * slots_per_shard_);
-    for (std::size_t i = 0; i < slots_per_shard_; ++i) {
-      free_.shard(static_cast<std::size_t>(s))
-          .push(base + static_cast<std::uint32_t>(i));
-    }
+  shard_stats_.resize(free_count_.size());
+  // Every shard's stack starts full with its own slot range in order, so
+  // the first acquire takes the shard's highest slot.
+  auto slots = free_storage_.host_span();
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    slots[i] = static_cast<std::uint32_t>(i);
   }
 }
 
@@ -98,62 +79,57 @@ std::size_t DeviceResidentPool::slot_bytes() const {
          sizeof(std::int32_t);
 }
 
+std::uint32_t DeviceResidentPool::pop_free(std::size_t shard) {
+  std::size_t& count = free_count_[shard];
+  FSBB_ASSERT(count > 0);
+  --count;
+  return free_storage_.host_span()[shard * slots_per_shard_ + count];
+}
+
+void DeviceResidentPool::push_free(std::uint32_t slot) {
+  const auto shard = static_cast<std::size_t>(shard_of(slot));
+  std::size_t& count = free_count_[shard];
+  FSBB_CHECK_MSG(count < slots_per_shard_, "resident shard free stack overflow");
+  free_storage_.host_span()[shard * slots_per_shard_ + count] = slot;
+  ++count;
+}
+
 std::uint32_t DeviceResidentPool::acquire(int home) {
-  auto& home_stats = shard_stats_[static_cast<std::size_t>(home)];
-  if (auto slot = free_.shard(static_cast<std::size_t>(home)).pop()) {
-    ++home_stats.allocated;
-    ++home_stats.live;
-    home_stats.peak_live = std::max(home_stats.peak_live, home_stats.live);
-    return *slot;
-  }
-  // Home shard full: borrow from the sibling with the most free slots
-  // (deterministic: ties go to the lowest index).
-  int victim = -1;
-  std::size_t best_free = 0;
-  for (int s = 0; s < shards(); ++s) {
-    if (s == home) continue;
-    const std::size_t f = free_.shard(static_cast<std::size_t>(s)).size();
-    if (f > best_free) {
-      best_free = f;
-      victim = s;
+  auto shard = static_cast<std::size_t>(home);
+  if (free_count_[shard] == 0) {
+    // Home shard full: borrow from the sibling with the most free slots
+    // (deterministic: ties go to the lowest index).
+    std::size_t best_free = 0;
+    for (std::size_t s = 0; s < free_count_.size(); ++s) {
+      if (free_count_[s] > best_free) {
+        best_free = free_count_[s];
+        shard = s;
+      }
     }
+    if (best_free == 0) return kNullTicket;  // the whole pool is full
+    ++shard_stats_[static_cast<std::size_t>(home)].spills;
+    ++shard_stats_[shard].steals;
   }
-  if (victim < 0) return kNullTicket;  // the whole pool is full
-  auto slot = free_.shard(static_cast<std::size_t>(victim)).pop();
-  if (!slot) return kNullTicket;
-  ++home_stats.spills;
-  auto& victim_stats = shard_stats_[static_cast<std::size_t>(victim)];
-  ++victim_stats.steals;
-  ++victim_stats.allocated;
-  ++victim_stats.live;
-  victim_stats.peak_live =
-      std::max(victim_stats.peak_live, victim_stats.live);
-  return *slot;
+  auto& st = shard_stats_[shard];
+  ++st.allocated;
+  ++st.live;
+  st.peak_live = std::max(st.peak_live, st.live);
+  return pop_free(shard);
 }
 
 int DeviceResidentPool::hungriest_shard() const {
-  int best = 0;
-  std::size_t best_free = free_.shard(0).size();
-  for (int s = 1; s < shards(); ++s) {
-    const std::size_t f = free_.shard(static_cast<std::size_t>(s)).size();
-    if (f > best_free) {
-      best_free = f;
-      best = s;
-    }
-  }
-  return best;
+  return static_cast<int>(
+      std::max_element(free_count_.begin(), free_count_.end()) -
+      free_count_.begin());
 }
 
 void DeviceResidentPool::release(std::uint32_t ticket) {
   FSBB_ASSERT(ticket != kNullTicket && (ticket & kScratchBit) == 0);
-  const int s = shard_of(ticket);
-  auto& st = shard_stats_[static_cast<std::size_t>(s)];
+  auto& st = shard_stats_[static_cast<std::size_t>(shard_of(ticket))];
   FSBB_ASSERT(st.live > 0);
   ++st.released;
   --st.live;
-  const bool pushed =
-      free_.shard(static_cast<std::size_t>(s)).push(std::move(ticket));
-  FSBB_CHECK_MSG(pushed, "resident shard free deque overflow");
+  push_free(ticket);
 }
 
 void DeviceResidentPool::grow_scratch(std::size_t nodes) {
@@ -526,11 +502,8 @@ std::uint64_t DeviceResidentPool::live_slots() const {
 }
 
 std::size_t DeviceResidentPool::free_slots() const {
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < free_.shards(); ++s) {
-    total += free_.shard(s).size();
-  }
-  return total;
+  return std::accumulate(free_count_.begin(), free_count_.end(),
+                         std::size_t{0});
 }
 
 core::ResidentPoolStats DeviceResidentPool::stats() const {
@@ -544,14 +517,15 @@ core::ResidentPoolStats DeviceResidentPool::stats() const {
 }
 
 std::vector<std::uint32_t> DeviceResidentPool::debug_drain_shard(int shard) {
-  return free_.shard(static_cast<std::size_t>(shard)).drain();
+  const auto s = static_cast<std::size_t>(shard);
+  const auto stack = free_storage_.host_span().subspan(s * slots_per_shard_,
+                                                       free_count_[s]);
+  free_count_[s] = 0;
+  return {stack.begin(), stack.end()};
 }
 
 void DeviceResidentPool::debug_refill_shard(std::vector<std::uint32_t> slots) {
-  for (std::uint32_t slot : slots) {
-    const int s = shard_of(slot);
-    free_.shard(static_cast<std::size_t>(s)).push(std::move(slot));
-  }
+  for (const std::uint32_t slot : slots) push_free(slot);
 }
 
 std::span<const std::uint8_t> DeviceResidentPool::debug_perm(

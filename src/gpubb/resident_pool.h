@@ -19,10 +19,10 @@
 // the host Lb1BoundContext), then the shared lb1_evaluate sweep — so the
 // bounds stay bit-identical to every CPU path.
 //
-// Shard structure: each SM's slice of the slot arena is managed by a
-// core::WorkStealingDequeT free-slot deque whose ring storage lives in a
-// DeviceBuffer — the exact ShardedPool abstraction the host cpu-steal
-// workers use, instantiated over device memory. Allocation prefers the
+// Shard structure: each SM's slice of the slot arena keeps its free slots
+// on a plain stack in a DeviceBuffer (one count per shard; the slot
+// released last is the next one handed out). One host thread drives the
+// pool at a time, so the stacks take no lock. Allocation prefers the
 // parent's shard (locality); a full shard borrows a slot from the sibling
 // with the most free slots (counted as a spill/steal pair); refill parents
 // land on the least-occupied shard, which is what re-feeds a starved SM.
@@ -37,7 +37,6 @@
 
 #include "core/evaluator.h"
 #include "core/steal_stats.h"
-#include "core/work_steal.h"
 #include "gpubb/device_lb_data.h"
 #include "gpubb/lb_kernel.h"
 #include "gpusim/kernel.h"
@@ -76,7 +75,7 @@ class DeviceResidentPool {
   DeviceResidentPool(gpusim::SimDevice& device, const DeviceLbData& data,
                      ResidentPoolConfig config);
 
-  int shards() const { return static_cast<int>(free_.shards()); }
+  int shards() const { return static_cast<int>(free_count_.size()); }
   std::size_t slots_per_shard() const { return slots_per_shard_; }
   std::size_t capacity() const { return capacity_; }
   /// Resident bytes per node slot (perm + depth + fronts + lb).
@@ -88,7 +87,7 @@ class DeviceResidentPool {
   void iterate(fsp::Time ub, std::span<core::ResidentGroup> groups,
                ResidentIterationIo& io);
 
-  /// Returns a slot to its shard's free deque (host bookkeeping only).
+  /// Returns a slot to its shard's free stack (host bookkeeping only).
   void release(std::uint32_t ticket);
 
   /// Recalls a live slot's payload to the host and frees the slot — the
@@ -139,6 +138,10 @@ class DeviceResidentPool {
   /// the most free slots when `home` is full. Returns kNullTicket when the
   /// whole pool is full.
   std::uint32_t acquire(int home);
+  /// Pops the top of a non-empty shard's free stack.
+  std::uint32_t pop_free(std::size_t shard);
+  /// Pushes a slot back on its own shard's free stack.
+  void push_free(std::uint32_t slot);
   /// Least-occupied shard — where refill parents land (feeds starvation).
   int hungriest_shard() const;
   void grow_scratch(std::size_t nodes);
@@ -172,11 +175,10 @@ class DeviceResidentPool {
   std::size_t parent_capacity_ = 0;
   std::size_t child_capacity_ = 0;
 
-  /// Free-slot deques: the core sharded-pool abstraction instantiated over
-  /// the device buffer below — one shard per simulated SM.
+  /// Free-slot stacks, one per simulated SM: shard s holds its free slots
+  /// in free_storage_[s * slots_per_shard_, + free_count_[s]), top last.
   gpusim::DeviceBuffer<std::uint32_t> free_storage_;
-  core::ShardedPoolT<std::uint32_t,
-                     core::FixedRingStorage<std::uint32_t>> free_;
+  std::vector<std::size_t> free_count_;
 
   mutable std::vector<core::ShardOccupancy> shard_stats_;
   std::uint64_t overflow_children_ = 0;

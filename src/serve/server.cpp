@@ -253,22 +253,10 @@ void Client::submit(const JsonValue& request) {
             cache_mode == "bypass",
         "\"cache\" must be one of use | refresh | bypass");
 
-    std::optional<fsp::Instance> parsed;
-    if (const JsonValue* explicit_inst = request.find("instance")) {
-      parsed = instance_from_json(*explicit_inst);
-    } else {
-      std::vector<fsp::Instance> instances =
-          api::make_instances(config.instance);
-      if (instances.size() != 1) {
-        reject(id,
-               "submit solves exactly one instance per job (got --count " +
-                   std::to_string(instances.size()) + "); submit one job "
-                   "per instance instead");
-        return;
-      }
-      parsed = std::move(instances.front());
-    }
-    fsp::Instance inst = std::move(*parsed);
+    const JsonValue* explicit_inst = request.find("instance");
+    fsp::Instance inst = explicit_inst != nullptr
+                             ? instance_from_json(*explicit_inst)
+                             : api::make_one_instance(config.instance);
 
     // Cache consultation before admission: an exact hit costs no worker,
     // so it should not be charged against (or blocked by) any quota.
@@ -362,10 +350,13 @@ void Client::submit(const JsonValue& request) {
         // A warm-started job that never improved on the cached incumbent
         // returns an empty permutation (nothing beat the root bound);
         // splice the cached schedule back in so the peer still receives
-        // a concrete schedule for the reported makespan.
+        // a concrete schedule for the reported makespan. With that
+        // schedule, an exhausted search proves the bound optimal.
         if (report.best_permutation.empty() && warm_ub.has_value() &&
             report.best_makespan == *warm_ub) {
           report.best_permutation = warm_perm;
+          report.proven_optimal =
+              report.stop_reason == core::StopReason::kOptimal;
         }
         server.metrics().record_completion(report.backend, true,
                                            report.stop_reason, latency_ms,

@@ -153,6 +153,61 @@ TEST(SolverConfig, CapsThreadsBatchWorkersAndCards) {
   static_assert(SolverConfig::kMaxWorkers == 256);
 }
 
+TEST(SolverConfig, CapsGeneratedInstanceSizes) {
+  // The generator allocates the jobs x machines matrix before anything
+  // else looks at it: "--jobs 100000 --machines 100000" asked for 40 GB.
+  static_assert(SolverConfig::kMaxJobs == 1000);
+  static_assert(SolverConfig::kMaxMachines == 100);
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {
+          {{"--jobs", "1001"}, "--jobs must be in [1, 1000]"},
+          {{"--jobs", "0"}, "--jobs must be in [1, 1000]"},
+          {{"--machines", "101"}, "--machines must be in [1, 100]"},
+          {{"--jobs", "100000", "--machines", "100000"},
+           "--jobs must be in [1, 1000]"},
+      };
+  for (const auto& [tokens, message] : cases) {
+    try {
+      SolverConfig::from_cli(parse_tokens(tokens));
+      ADD_FAILURE() << tokens[0] << " " << tokens[1] << " was accepted";
+    } catch (const CheckFailure& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  }
+  // Taillard's 500x20 and VRF's 800x60 fit; a Taillard id ignores them.
+  EXPECT_NO_THROW(
+      SolverConfig::from_cli(parse_tokens({"--jobs", "1000", "--machines",
+                                           "100"})));
+  EXPECT_NO_THROW(
+      SolverConfig::from_cli(parse_tokens({"--jobs", "800", "--machines",
+                                           "60"})));
+  EXPECT_NO_THROW(SolverConfig::from_cli(
+      parse_tokens({"--ta", "120", "--jobs", "100000"})));
+}
+
+TEST(SolverConfig, OneInstancePerSolveRejectsACountFirst) {
+  InstanceSpec spec;
+  spec.jobs = 6;
+  spec.machines = 3;
+  spec.count = 2;
+  try {
+    make_one_instance(spec);
+    ADD_FAILURE() << "--count 2 was accepted";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "one instance per solve (--count 1), got --count 2"),
+              std::string::npos)
+        << e.what();
+  }
+  spec.count = 1;
+  EXPECT_EQ(make_one_instance(spec).name(), make_instances(spec).front().name());
+  // A Taillard id names one instance whatever the count says.
+  spec.ta_id = 3;
+  spec.count = 2;
+  EXPECT_EQ(make_one_instance(spec).name(), "ta003");
+}
+
 TEST(SolverConfig, CliPayloadIsAStringOrAnArrayOfTokens) {
   const SolverConfig from_string = SolverConfig::from_cli_payload(
       JsonValue::parse(R"("--jobs 7   --backend cpu-steal")"));
@@ -390,6 +445,37 @@ TEST(Solver, DeadlineFlowsThroughTheSynchronousFacade) {
   std::ostringstream text;
   text << report;
   EXPECT_NE(text.str().find("stopped: deadline"), std::string::npos);
+}
+
+// An --ub below the optimum prunes every node, so the search exhausts
+// without a schedule. That proves only that nothing beats the bound; it
+// used to be reported as a proven optimum of 5 with an empty schedule.
+TEST(Solver, UbThatNothingBeatsIsNotAProvenOptimum) {
+  SolverConfig config;
+  config.instance.jobs = 6;
+  config.instance.machines = 3;
+  const fsp::Instance inst = make_one_instance(config.instance);
+  const fsp::Time optimum = Solver(config).solve(inst).best_makespan;
+  for (const char* backend : {"cpu-serial", "cpu-steal", "gpu-sim"}) {
+    SCOPED_TRACE(backend);
+    config.backend = backend;
+    for (const fsp::Time ub : {fsp::Time{5}, optimum}) {
+      config.initial_ub = ub;
+      const SolveReport report = Solver(config).solve(inst);
+      EXPECT_EQ(report.best_makespan, ub);
+      EXPECT_TRUE(report.best_permutation.empty());
+      EXPECT_EQ(report.stop_reason, core::StopReason::kOptimal);
+      EXPECT_FALSE(report.proven_optimal) << "ub " << ub;
+      EXPECT_NE(report.to_json().find("\"proven_optimal\":false"),
+                std::string::npos);
+    }
+    // A bound the search beats still ends in a proof, with its schedule.
+    config.initial_ub = optimum + 1;
+    const SolveReport beaten = Solver(config).solve(inst);
+    EXPECT_EQ(beaten.best_makespan, optimum);
+    EXPECT_FALSE(beaten.best_permutation.empty());
+    EXPECT_TRUE(beaten.proven_optimal);
+  }
 }
 
 TEST(SolverConfig, DeadlineAndProgressFlagsRoundTripThroughCli) {

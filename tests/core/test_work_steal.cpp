@@ -86,57 +86,6 @@ TEST(ShardedPool, RejectsZeroShards) {
   EXPECT_THROW(ShardedPool(0), CheckFailure);
 }
 
-// --- bounded rings over externally owned fixed-stride storage -----------
-// The form the device-resident pools instantiate: same deque/shard
-// machinery, but the slots live in a caller-owned slab and push can fail.
-
-TEST(FixedRingDeque, PushFailsExactlyWhenTheSlabIsFull) {
-  std::vector<std::uint32_t> slab(4);
-  WorkStealingDequeT<std::uint32_t, FixedRingStorage<std::uint32_t>> deque{
-      FixedRingStorage<std::uint32_t>(slab)};
-  EXPECT_EQ(deque.capacity(), 4u);
-  for (std::uint32_t i = 0; i < 4; ++i) EXPECT_TRUE(deque.push(i + 10));
-  EXPECT_FALSE(deque.push(99));
-  EXPECT_EQ(deque.size(), 4u);
-  EXPECT_EQ(deque.pop(), 13u);  // LIFO owner end
-  EXPECT_TRUE(deque.push(99));  // freed slot is reusable
-}
-
-TEST(FixedRingDeque, StealTakesOldestAndDrainIsFrontToBack) {
-  std::vector<std::uint32_t> slab(8);
-  WorkStealingDequeT<std::uint32_t, FixedRingStorage<std::uint32_t>> deque{
-      FixedRingStorage<std::uint32_t>(slab)};
-  for (std::uint32_t i = 0; i < 6; ++i) deque.push(std::uint32_t{i});
-  std::vector<std::uint32_t> loot;
-  EXPECT_EQ(deque.steal(loot, 2), 2u);
-  EXPECT_EQ(loot, (std::vector<std::uint32_t>{0, 1}));
-  // The ring wraps: pushes after front-pops reuse the vacated slots.
-  deque.push(6u);
-  deque.push(7u);
-  deque.push(8u);
-  EXPECT_EQ(deque.drain(), (std::vector<std::uint32_t>{2, 3, 4, 5, 6, 7, 8}));
-  EXPECT_TRUE(deque.empty());
-}
-
-TEST(ShardedPool, ShardsOverExternalStorageKeepTheSameOperations) {
-  std::vector<std::uint32_t> slab(12);
-  std::vector<FixedRingStorage<std::uint32_t>> rings;
-  for (int s = 0; s < 3; ++s) {
-    rings.emplace_back(std::span<std::uint32_t>(slab).subspan(
-        static_cast<std::size_t>(s) * 4, 4));
-  }
-  ShardedPoolT<std::uint32_t, FixedRingStorage<std::uint32_t>> pool(
-      std::move(rings));
-  ASSERT_EQ(pool.shards(), 3u);
-  std::vector<std::uint32_t> nodes;
-  for (std::uint32_t i = 0; i < 9; ++i) nodes.push_back(i);
-  pool.distribute(std::move(nodes));
-  EXPECT_EQ(pool.size(), 9u);
-  // Round-robin placement, then the deterministic shard-0-first drain.
-  EXPECT_EQ(pool.drain(),
-            (std::vector<std::uint32_t>{0, 3, 6, 1, 4, 7, 2, 5, 8}));
-}
-
 // Concurrency smoke test: one owner per shard pushes and pops its own
 // deque while every worker also steals from the others. Each popped or
 // stolen node is recorded; at the end every id must have left the pool

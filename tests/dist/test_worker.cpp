@@ -191,6 +191,21 @@ TEST(DistWorker, RejectsMalformedSolveRequests) {
   EXPECT_EQ(w.shutdown(), 0);
 }
 
+TEST(DistWorker, RejectsACountAboveOneBeforeGenerating) {
+  WorkerHarness w;
+  w.next_event_of("ready");
+  w.send(
+      "{\"op\":\"solve\",\"id\":\"s0\",\"cli\":[\"--jobs\",\"6\","
+      "\"--machines\",\"3\",\"--count\",\"2\"],\"pool\":\"x\"}");
+  const JsonValue e = w.next_event();
+  EXPECT_EQ(e.string_or("event", ""), "rejected");
+  EXPECT_NE(e.string_or("error", "").find(
+                "one instance per solve (--count 1), got --count 2"),
+            std::string::npos)
+      << e.string_or("error", "");
+  EXPECT_EQ(w.shutdown(), 0);
+}
+
 TEST(DistWorker, SolvesAShardToTheExactOptimum) {
   const Shard shard = make_shard(9, 5, 21, 12);
 

@@ -18,6 +18,13 @@ fsp::Instance random_instance(int jobs, int machines, std::uint64_t seed) {
   return fsp::Instance("rand", std::move(pt));
 }
 
+MultiDeviceConfig one_card(PlacementPolicy policy) {
+  MultiDeviceConfig config;
+  config.specs = {gpusim::DeviceSpec::tesla_c2050()};
+  config.policy = policy;
+  return config;
+}
+
 std::vector<core::Subproblem> random_batch(const fsp::Instance& inst,
                                            int count, std::uint64_t seed) {
   SplitMix64 rng(seed);
@@ -35,8 +42,7 @@ std::vector<core::Subproblem> random_batch(const fsp::Instance& inst,
 TEST(AdaptiveEvaluator, RoutesByBatchSize) {
   const fsp::Instance inst = fsp::taillard_instance(21);
   const auto data = fsp::LowerBoundData::build(inst);
-  gpusim::SimDevice device(gpusim::DeviceSpec::tesla_c2050());
-  AdaptiveEvaluator eval(device, inst, data, PlacementPolicy::kSharedJmPtm,
+  AdaptiveEvaluator eval(inst, data, one_card(PlacementPolicy::kSharedJmPtm),
                          /*cpu_threads=*/2, /*threshold=*/64);
   EXPECT_EQ(eval.threshold(), 64u);
 
@@ -55,8 +61,7 @@ TEST(AdaptiveEvaluator, RoutesByBatchSize) {
 TEST(AdaptiveEvaluator, BothPathsProduceIdenticalBounds) {
   const fsp::Instance inst = fsp::taillard_instance(1);
   const auto data = fsp::LowerBoundData::build(inst);
-  gpusim::SimDevice device(gpusim::DeviceSpec::tesla_c2050());
-  AdaptiveEvaluator eval(device, inst, data, PlacementPolicy::kAuto, 2, 64);
+  AdaptiveEvaluator eval(inst, data, one_card(PlacementPolicy::kAuto), 2, 64);
   core::SerialCpuEvaluator reference(inst, data);
 
   auto batch_small = random_batch(inst, 20, 5);   // CPU path
@@ -78,8 +83,8 @@ TEST(AdaptiveEvaluator, BothPathsProduceIdenticalBounds) {
 TEST(AdaptiveEvaluator, DerivedThresholdIsAWholeNumberOfBlocks) {
   const fsp::Instance inst = fsp::taillard_instance(21);
   const auto data = fsp::LowerBoundData::build(inst);
-  gpusim::SimDevice device(gpusim::DeviceSpec::tesla_c2050());
-  AdaptiveEvaluator eval(device, inst, data, PlacementPolicy::kSharedJmPtm, 4);
+  AdaptiveEvaluator eval(inst, data, one_card(PlacementPolicy::kSharedJmPtm),
+                         4);
   EXPECT_GT(eval.threshold(), 0u);
   EXPECT_EQ(eval.threshold() %
                 static_cast<std::size_t>(eval.gpu().block_threads()),
@@ -92,8 +97,7 @@ TEST(AdaptiveEvaluator, EngineSolvesToTheOptimum) {
   const fsp::Instance inst = random_instance(8, 5, 77);
   const auto data = fsp::LowerBoundData::build(inst);
   const auto opt = fsp::brute_force(inst);
-  gpusim::SimDevice device(gpusim::DeviceSpec::tesla_c2050());
-  AdaptiveEvaluator eval(device, inst, data, PlacementPolicy::kAuto,
+  AdaptiveEvaluator eval(inst, data, one_card(PlacementPolicy::kAuto),
                          /*cpu_threads=*/2, /*threshold=*/32);
   core::EngineOptions options;
   options.batch_size = 64;  // above and below threshold across the run
@@ -107,8 +111,7 @@ TEST(AdaptiveEvaluator, EngineSolvesToTheOptimum) {
 TEST(AdaptiveEvaluator, NameDescribesRoutingSetup) {
   const fsp::Instance inst = fsp::taillard_instance(1);
   const auto data = fsp::LowerBoundData::build(inst);
-  gpusim::SimDevice device(gpusim::DeviceSpec::tesla_c2050());
-  AdaptiveEvaluator eval(device, inst, data, PlacementPolicy::kAllGlobal, 3,
+  AdaptiveEvaluator eval(inst, data, one_card(PlacementPolicy::kAllGlobal), 3,
                          128);
   EXPECT_NE(eval.name().find("adaptive["), std::string::npos);
   EXPECT_NE(eval.name().find("@128"), std::string::npos);

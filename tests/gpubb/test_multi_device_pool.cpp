@@ -1,8 +1,9 @@
 // MultiDevicePool unit suite: one-evaluator facade over N simulated
 // cards, heterogeneous flat-batch splitting, refill routing to the
 // hungriest card, outer-ticket stability across cross-card rebalancing,
-// and the starved-device recall-and-resplit path under the core::audit
-// ticket conservation check (issued + rebalanced == allocated).
+// the starved-device recall-and-resplit path under the core::audit
+// ticket conservation check (issued + rebalanced == allocated), and a
+// one-card pool solving exactly like its bare card.
 #include "gpubb/multi_device_pool.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "core/audit.h"
+#include "core/engine.h"
 #include "fsp/lb1.h"
 #include "fsp/taillard.h"
 #include "gpusim/device_spec.h"
@@ -233,6 +235,96 @@ TEST(MultiDevicePool, SingleCardDegeneratesToOneLane) {
   }
   for (const std::uint32_t t : tickets) pool.release(t);
   EXPECT_EQ(pool.debug_rebalance(), 0u);  // nothing to move on one card
+}
+
+void expect_same_gpu_ledger(const GpuLedger& a, const GpuLedger& b) {
+  EXPECT_EQ(a.transfers.h2d_transfers, b.transfers.h2d_transfers);
+  EXPECT_EQ(a.transfers.d2h_transfers, b.transfers.d2h_transfers);
+  EXPECT_EQ(a.transfers.h2d_bytes, b.transfers.h2d_bytes);
+  EXPECT_EQ(a.transfers.d2h_bytes, b.transfers.d2h_bytes);
+  EXPECT_EQ(a.transfers.h2d_seconds, b.transfers.h2d_seconds);
+  EXPECT_EQ(a.transfers.d2h_seconds, b.transfers.d2h_seconds);
+  EXPECT_EQ(a.kernel_seconds, b.kernel_seconds);
+  EXPECT_EQ(a.iteration_seconds, b.iteration_seconds);
+  EXPECT_EQ(a.launches, b.launches);
+  EXPECT_EQ(a.counters.total_accesses(), b.counters.total_accesses());
+  EXPECT_EQ(a.counters.arithmetic_ops, b.counters.arithmetic_ops);
+}
+
+void expect_same_shards(const core::ResidentPoolStats& a,
+                        const core::ResidentPoolStats& b) {
+  EXPECT_EQ(a.capacity, b.capacity);
+  EXPECT_EQ(a.slot_bytes, b.slot_bytes);
+  EXPECT_EQ(a.overflow, b.overflow);
+  EXPECT_EQ(a.refills, b.refills);
+  EXPECT_EQ(a.devices, b.devices);
+  EXPECT_EQ(a.rebalanced, b.rebalanced);
+  ASSERT_EQ(a.shards.size(), b.shards.size());
+  for (std::size_t s = 0; s < a.shards.size(); ++s) {
+    EXPECT_EQ(a.shards[s].device, b.shards[s].device) << s;
+    EXPECT_EQ(a.shards[s].live, b.shards[s].live) << s;
+    EXPECT_EQ(a.shards[s].peak_live, b.shards[s].peak_live) << s;
+    EXPECT_EQ(a.shards[s].allocated, b.shards[s].allocated) << s;
+    EXPECT_EQ(a.shards[s].released, b.shards[s].released) << s;
+    EXPECT_EQ(a.shards[s].spills, b.shards[s].spills) << s;
+    EXPECT_EQ(a.shards[s].steals, b.shards[s].steals) << s;
+    EXPECT_EQ(a.shards[s].refills, b.shards[s].refills) << s;
+  }
+}
+
+// A one-card pool hands the engine its card on every seam, so a one-card
+// solve runs the bare GpuBoundEvaluator: no ticket table, no incumbent
+// broadcast to itself, and the same name, counters, ledgers and shards.
+TEST(MultiDevicePool, OneCardIsItsCard) {
+  // NEH is not optimal here, so every mode searches and improves on it.
+  const fsp::Instance inst = fsp::make_taillard_instance(10, 6, 42, "md-10x6");
+  const fsp::LowerBoundData data = fsp::LowerBoundData::build(inst);
+  for (const GpuPoolMode mode :
+       {GpuPoolMode::kResident, GpuPoolMode::kRepack, GpuPoolMode::kDfs}) {
+    SCOPED_TRACE(to_string(mode));
+    MultiDeviceConfig config;
+    config.specs = {gpusim::DeviceSpec::tesla_c2050()};
+    config.mode = mode;
+    MultiDevicePool pool(inst, data, config);
+    GpuBoundEvaluator& card = pool.lane_mut(0);
+    EXPECT_EQ(pool.resident_pool(), card.resident_pool());
+    EXPECT_EQ(pool.subtree_dfs(), card.subtree_dfs());
+    EXPECT_EQ(pool.name(), card.name());
+    EXPECT_EQ(&pool.ledger(), &card.ledger());
+
+    gpusim::SimDevice device(gpusim::DeviceSpec::tesla_c2050());
+    GpuBoundEvaluator bare(device, inst, data, config.policy,
+                           /*block_threads=*/0, config.calibration, mode);
+    core::EngineOptions options;
+    options.strategy = mode == GpuPoolMode::kDfs
+                           ? core::SelectionStrategy::kDepthFirst
+                           : core::SelectionStrategy::kBestFirst;
+    options.batch_size = 64;
+    const core::SolveResult got =
+        core::BBEngine(inst, data, pool, options).solve();
+    const core::SolveResult want =
+        core::BBEngine(inst, data, bare, options).solve();
+
+    EXPECT_GT(want.stats.evaluated, 0u);
+    EXPECT_GT(want.stats.ub_updates, 0u);
+    EXPECT_EQ(pool.name(), bare.name());
+    EXPECT_EQ(got.best_makespan, want.best_makespan);
+    EXPECT_EQ(got.best_permutation, want.best_permutation);
+    EXPECT_EQ(got.stats.branched, want.stats.branched);
+    EXPECT_EQ(got.stats.generated, want.stats.generated);
+    EXPECT_EQ(got.stats.evaluated, want.stats.evaluated);
+    EXPECT_EQ(got.stats.pruned, want.stats.pruned);
+    EXPECT_EQ(got.stats.leaves, want.stats.leaves);
+    EXPECT_EQ(got.stats.ub_updates, want.stats.ub_updates);
+    EXPECT_EQ(got.stats.initial_ub, want.stats.initial_ub);
+    EXPECT_EQ(pool.ledger().batches, bare.ledger().batches);
+    EXPECT_EQ(pool.ledger().nodes, bare.ledger().nodes);
+    expect_same_gpu_ledger(card.gpu_ledger(), bare.gpu_ledger());
+    EXPECT_EQ(pool.modeled_wall_seconds(), card.gpu_ledger().modeled_seconds());
+    ASSERT_EQ(got.pool.has_value(), want.pool.has_value());
+    EXPECT_EQ(got.pool.has_value(), mode == GpuPoolMode::kResident);
+    if (got.pool) expect_same_shards(*got.pool, *want.pool);
+  }
 }
 
 }  // namespace

@@ -225,6 +225,11 @@ TEST(ResidentPool, ReleaseRoundTripsThroughTheFreeDeques) {
   core::ResidentGroup g2 = f.group_of(root, bounds2, tickets2);
   pool.iterate(1000000, {&g2, 1}, io);
   for (const std::uint32_t t : tickets2) EXPECT_NE(t, kNull);
+  // The free slots are a stack: the slot released last is the next one
+  // acquired, so the refill takes the released slots in reverse.
+  EXPECT_EQ(tickets2.front(), tickets.back());
+  EXPECT_EQ(tickets2, std::vector<std::uint32_t>(tickets.rbegin(),
+                                                 tickets.rend()));
 }
 
 TEST(ResidentPool, IterationIoShrinksVersusRepackTraffic) {

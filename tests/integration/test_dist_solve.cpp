@@ -85,6 +85,23 @@ TEST(DistSolve, CleanRunMatchesTheSerialEngine) {
   EXPECT_EQ(s.respawns, 0u);
 }
 
+// An --ub below the optimum prunes the whole tree: the coordinator proves
+// only that nothing beats 5, which is no optimum and has no schedule.
+TEST(DistSolve, UbThatNothingBeatsIsNotAProvenOptimum) {
+  SKIP_WITHOUT_WORKER_BINARY();
+  api::SolverConfig config = small_config(8, 3, 123456789);
+  config.initial_ub = 5;
+  dist::CoordinatorOptions options;
+  options.workers = 2;
+  dist::Coordinator coordinator(api::make_one_instance(config.instance),
+                                config, options);
+  const api::SolveReport report = coordinator.run();
+  EXPECT_EQ(report.best_makespan, 5);
+  EXPECT_TRUE(report.best_permutation.empty());
+  EXPECT_EQ(report.stop_reason, core::StopReason::kOptimal);
+  EXPECT_FALSE(report.proven_optimal);
+}
+
 TEST(DistSolve, SigkilledWorkerRecoversToTheExactOptimum) {
   SKIP_WITHOUT_WORKER_BINARY();
   const api::SolverConfig config = small_config(12, 6, 42);

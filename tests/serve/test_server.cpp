@@ -93,7 +93,7 @@ TEST(ServeClient, SubmitValidationRejectsWithReasons) {
   out.wait_for("use | refresh | bypass");
   client->handle_line(
       R"({"op":"submit","id":"a","cli":"--jobs 4 --machines 3 --count 2"})");
-  out.wait_for("exactly one instance per job");
+  out.wait_for("one instance per solve (--count 1), got --count 2");
   // None of these reached the service or charged a quota.
   EXPECT_EQ(server.service().jobs_submitted(), 0u);
   EXPECT_EQ(server.admission().active_jobs("anonymous"), 0u);

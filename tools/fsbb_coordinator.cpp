@@ -93,14 +93,8 @@ int main(int argc, char** argv) {
   }
 
   try {
-    std::vector<fsp::Instance> instances = api::make_instances(config.instance);
-    if (instances.size() != 1) {
-      std::cerr << "fsbb_coordinator shards one instance (got --count "
-                << instances.size() << ")\n";
-      return 1;
-    }
-    dist::Coordinator coordinator(std::move(instances.front()), config,
-                                  options);
+    dist::Coordinator coordinator(api::make_one_instance(config.instance),
+                                  config, options);
     const api::SolveReport report = coordinator.run();
     if (json) {
       std::cout << report.to_json() << "\n";
